@@ -9,8 +9,10 @@
   ``lambda > 1`` it demonstrates exactly the gap the postal model exposes
   and generalized Fibonacci trees close.
 
-Both compile to the standard :class:`~repro.core.schedule.Schedule` IR and
-exist as event-driven protocols.
+Both compile to the standard :class:`~repro.core.schedule.Schedule` IR
+(through :func:`repro.plan.build.compile_schedule`, the one integer-tick
+implementation of every broadcast recurrence) and exist as event-driven
+protocols.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from repro.algorithms.base import Protocol
-from repro.core.schedule import Schedule, SendEvent
+from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
 from repro.postal.machine import PostalSystem
 from repro.sim.engine import Event
@@ -84,10 +86,9 @@ def binomial_time(n: int, lam: TimeLike) -> Time:
 def star_schedule(n: int, lam: TimeLike, *, validate: bool = True) -> Schedule:
     """One-message star broadcast: ``p_0`` sends to ``p_1 .. p_{n-1}`` in
     order.  Completion time ``(n - 2) + lambda`` for ``n >= 2``."""
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    events = [SendEvent(Time(i - 1), 0, 0, i) for i in range(1, n)]
-    return Schedule(n, lam, events, m=1, validate=validate)
+    from repro.plan.build import compile_schedule
+
+    return compile_schedule("STAR", n, 1, lam, validate=validate)
 
 
 def binomial_schedule(n: int, lam: TimeLike, *, validate: bool = True) -> Schedule:
@@ -98,28 +99,13 @@ def binomial_schedule(n: int, lam: TimeLike, *, validate: bool = True) -> Schedu
     roughly ``log2(n) * lambda`` versus BCAST's
     ``lambda*log(n)/log(lambda+1)``.
 
-    Note the recipient may start forwarding only after arrival; the builder
-    therefore stamps each child range's sends at ``parent_send + max(1,
-    lambda)`` — with ``lambda >= 1`` this is arrival time, the earliest
-    legal moment.
+    Note the recipient may start forwarding only after arrival; each child
+    range's sends are therefore stamped at ``parent_send + lambda`` — its
+    arrival time, the earliest legal moment.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    lam_t = as_time(lam)
-    events: list[SendEvent] = []
-    stack: list[tuple[ProcId, int, Time]] = [(0, n, ZERO)]
-    while stack:
-        base, size, t = stack.pop()
-        if size == 1:
-            continue
-        half = 1
-        while half * 2 < size:
-            half *= 2
-        j = size - half
-        events.append(SendEvent(t, base, 0, base + j))
-        stack.append((base, j, t + 1))
-        stack.append((base + j, half, t + lam_t))
-    return Schedule(n, lam, events, m=1, validate=validate)
+    from repro.plan.build import compile_schedule
+
+    return compile_schedule("BINOMIAL", n, 1, lam, validate=validate)
 
 
 class StarProtocol(Protocol):

@@ -448,6 +448,12 @@ def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
     """Benchmark columnar plan construction against the event-object
     builder at BCAST size *n* (the ``"plan"`` section of the document).
 
+    Both paths run the same integer-tick compiler
+    (:mod:`repro.plan.build`); the builder then decodes the keys into
+    ``SendEvent`` objects and a sorted ``Schedule``, the plan into four
+    integer columns.  The speedup is therefore the cost of event
+    materialization, not of a second recurrence.
+
     Times and memory are measured in separate passes (``tracemalloc``
     slows allocation-heavy code several-fold, so timing under it would
     flatter the allocation-light plan path).  ``storage`` is the memory

@@ -51,16 +51,14 @@ import sys
 from typing import Sequence
 
 from repro.core.analysis import algorithm_times, best_algorithm, multi_lower_bound
-from repro.core.bcast import bcast_schedule, bcast_tree
+from repro.core.bcast import bcast_tree
 from repro.core.bounds import (
     F_lower_exact,
     F_upper_exact,
     f_lower_log,
     f_upper_log,
 )
-from repro.core.dtree import dtree_schedule
 from repro.core.fibfunc import postal_F, postal_f
-from repro.core.multi import pack_schedule, pipeline_schedule, repeat_schedule
 from repro.core.serialize import dumps_schedule, tree_to_dict
 from repro.report.render import render_gantt, render_tree
 from repro.report.tables import format_table
@@ -82,35 +80,6 @@ def as_time(value):
         raise InvalidParameterError(
             f"invalid time value {value!r}: {exc}"
         ) from exc
-
-
-def _build_schedule(algorithm: str, n: int, m: int, lam):
-    """Resolve an algorithm name to its builder schedule."""
-    algorithm = algorithm.lower()
-    if algorithm == "bcast":
-        if m != 1:
-            raise SystemExit("bcast broadcasts one message; use -m 1")
-        return bcast_schedule(n, lam, validate=False)
-    if algorithm == "repeat":
-        return repeat_schedule(n, m, lam, validate=False)
-    if algorithm == "pack":
-        return pack_schedule(n, m, lam, validate=False)
-    if algorithm == "pipeline":
-        return pipeline_schedule(n, m, lam, validate=False)
-    if algorithm.startswith("dtree-"):
-        return dtree_schedule(n, m, lam, int(algorithm[6:]), validate=False)
-    if algorithm == "star":
-        return dtree_schedule(n, m, lam, max(1, n - 1), validate=False)
-    if algorithm == "binomial":
-        from repro.algorithms.baselines import binomial_schedule
-
-        if m != 1:
-            raise SystemExit("the binomial baseline broadcasts one message")
-        return binomial_schedule(n, lam, validate=False)
-    raise SystemExit(
-        f"unknown algorithm {algorithm!r} (try: bcast, repeat, pack, "
-        f"pipeline, dtree-<d>, star, binomial)"
-    )
 
 
 def _protocol_for(algorithm: str, n: int, m: int, lam):
@@ -187,7 +156,11 @@ def cmd_tree(args: argparse.Namespace) -> int:
 
 
 def cmd_gantt(args: argparse.Namespace) -> int:
-    sched = _build_schedule(args.algorithm, args.n, args.m, as_time(args.lam))
+    from repro.plan.build import compile_schedule
+
+    # any broadcast family name, case-insensitive; anything else raises
+    # InvalidParameterError, reported by main()
+    sched = compile_schedule(args.algorithm, args.n, args.m, as_time(args.lam))
     print(render_gantt(sched))
     print(f"\ncompletion: {time_repr(sched.completion_time())}")
     return 0
@@ -911,7 +884,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("--m", type=int, default=1)
-    p.add_argument("--algorithm", default="bcast")
+    p.add_argument(
+        "--algorithm",
+        default="bcast",
+        help="broadcast family (bcast, repeat, pack, pipeline, dtree-<d>, "
+        "dtree-line/binary/latency, star, binomial)",
+    )
     p.set_defaults(func=cmd_gantt)
 
     p = sub.add_parser("simulate", help="run an algorithm on the simulated machine")

@@ -13,67 +13,25 @@ The resulting broadcast tree is the *generalized Fibonacci tree* — a
 binomial tree for ``lambda = 1`` and a Fibonacci tree for ``lambda = 2`` —
 and the completion time is exactly ``f_lambda(n)`` (Theorem 6).
 
-This module builds BCAST *schedules* (the static IR); the event-driven
+This module exposes BCAST *schedules* (the static IR) and the broadcast
+tree they induce.  The recurrence itself is compiled once, in integer
+ticks, by :func:`repro.plan.build.compile_schedule`;
+:func:`bcast_schedule` is its event-object view.  The event-driven
 distributed implementation that discovers the same schedule at run time
 lives in :mod:`repro.algorithms.bcast_protocol`.  For large machines
-(``n`` approaching ``10^5`` and beyond) prefer the columnar plan layer:
-:func:`repro.plan.compile_plan` runs the same iterative recurrence in
-pure integer ticks — no per-event objects, no ``Fraction`` arithmetic —
-and converts losslessly to this module's schedules.
+(``n`` approaching ``10^5`` and beyond) prefer the columnar plan layer,
+:func:`repro.plan.compile_plan`, which keeps the sends as integer
+columns.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.core.fibfunc import GeneralizedFibonacci
-from repro.core.schedule import Schedule, SendEvent
-from repro.errors import InvalidParameterError
+from repro.core.schedule import Schedule
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time
 
-__all__ = ["bcast_events", "bcast_schedule", "bcast_tree", "BroadcastTree", "TreeNode"]
-
-
-def bcast_events(
-    n: int,
-    lam: TimeLike,
-    *,
-    start: TimeLike = 0,
-    msg: int = 0,
-    offset: ProcId = 0,
-) -> list[SendEvent]:
-    """Raw send events of Algorithm BCAST over processors
-    ``offset .. offset+n-1`` with the range's first processor as originator,
-    message index *msg*, first send at time *start*.
-
-    Iterative (explicit work stack), so arbitrarily large ``n`` cannot hit
-    the recursion limit.
-    """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1, got {n}")
-    fib = GeneralizedFibonacci(lam)
-    lam = fib.lam
-    t0 = as_time(start)
-    events: list[SendEvent] = []
-    if n == 1:
-        return events
-    # Tabulate the whole F_lambda prefix up to the completion horizon in
-    # one pass; the loop then splits every subrange with raw bisects
-    # instead of per-call table lookups (f is monotone, so f(size) <=
-    # f(n) keeps every query inside the prefix).
-    prefix = fib.tabulate(fib.index(n))
-    # (lo, size, t): originator `lo` broadcasts to `lo .. lo+size-1`, free
-    # to start sending at time t.
-    stack: list[tuple[ProcId, int, Time]] = [(offset, n, t0)]
-    while stack:
-        lo, size, t = stack.pop()
-        if size == 1:
-            continue
-        j = prefix.split(size)  # 1 <= j <= size-1 (Lemma 3)
-        events.append(SendEvent(t, lo, msg, lo + j))
-        stack.append((lo, j, t + 1))
-        stack.append((lo + j, size - j, t + lam))
-    return events
+__all__ = ["bcast_schedule", "bcast_tree", "BroadcastTree", "TreeNode"]
 
 
 def bcast_schedule(
@@ -88,13 +46,10 @@ def bcast_schedule(
     Its :meth:`~repro.core.schedule.Schedule.completion_time` equals
     ``start + f_lambda(n)`` exactly (Theorem 6).
     """
-    return Schedule(
-        n,
-        lam,
-        bcast_events(n, lam, start=start),
-        m=1,
-        validate=validate,
-    )
+    from repro.plan.build import compile_schedule
+
+    schedule = compile_schedule("BCAST", n, 1, lam, validate=validate)
+    return schedule.shifted(start) if as_time(start) else schedule
 
 
 @dataclass

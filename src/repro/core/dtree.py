@@ -34,9 +34,9 @@ from __future__ import annotations
 import math
 from enum import Enum
 
-from repro.core.schedule import Schedule, SendEvent
+from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
-from repro.types import ProcId, Time, TimeLike, ZERO, as_time
+from repro.types import ProcId, TimeLike, as_time
 
 __all__ = [
     "DTreeShape",
@@ -125,31 +125,11 @@ def dtree_schedule(
     The execution is the deterministic fixed point of the event-driven
     rules: every node owns a FIFO of pending sends — message-major, children
     left-to-right, messages becoming pending when they arrive (at ``t = 0``
-    for the root) — and drains it through its unit-time send port.
+    for the root) — and drains it through its unit-time send port.  The
+    drain is compiled once, in integer ticks, by
+    :func:`repro.plan.build.compile_schedule`.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 processors, got {n}")
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1 messages, got {m}")
-    lam = as_time(lam)
-    if lam < 1:
-        raise InvalidParameterError(f"the postal model requires lambda >= 1, got {lam}")
-    d = resolve_degree(shape, n, lam)
+    from repro.plan.build import compile_schedule
 
-    events: list[SendEvent] = []
-    # arrival[v][k] = when node v knows message k; BFS numbering guarantees
-    # parents are processed before children.
-    arrival: list[list[Time]] = [[ZERO] * m] + [[ZERO] * m for _ in range(n - 1)]
-    for v in range(n):
-        children = dtree_children(v, d, n)
-        if not children:
-            continue
-        port_free = ZERO
-        for k in range(m):
-            ready = arrival[v][k]
-            for c in children:
-                t = max(port_free, ready)
-                events.append(SendEvent(t, v, k, c))
-                port_free = t + 1
-                arrival[c][k] = t + lam
-    return Schedule(n, lam, events, m=m, validate=validate)
+    d = resolve_degree(shape, n, lam)
+    return compile_schedule(f"DTREE-{d}", n, m, lam, validate=validate)

@@ -60,10 +60,11 @@ class FibPrefix:
     ``[0, up_to_t]`` — the whole prefix materialized in one pass by
     :meth:`GeneralizedFibonacci.tabulate` / :func:`tabulate`.
 
-    Schedule builders query ``F`` and ``f`` thousands of times in their
-    inner loops; against a live :class:`GeneralizedFibonacci` every call
-    re-checks the horizon and re-dispatches.  A prefix is two parallel
-    tuples and raw :mod:`bisect` lookups — nothing else.
+    The schedule compilers (:mod:`repro.plan.build`, via an
+    integer-rescaled copy) query ``F`` and ``f`` thousands of times in
+    their inner loops; against a live :class:`GeneralizedFibonacci` every
+    call re-checks the horizon and re-dispatches.  A prefix is two
+    parallel tuples and raw :mod:`bisect` lookups — nothing else.
 
     Attributes:
         times: jump times, ascending (``times[0] == 0``).
@@ -94,11 +95,6 @@ class FibPrefix:
                 f"(max tabulated value {self.values[-1]})"
             )
         return self.times[i]
-
-    def split(self, size: int) -> int:
-        """The BCAST split point ``j = F_lambda(f_lambda(size) - 1)`` for
-        a range of *size* processors (Lemma 3: ``1 <= j <= size - 1``)."""
-        return self.value_at(self.index(size) - 1)
 
     def __len__(self) -> int:
         return len(self.times)
@@ -291,10 +287,10 @@ def tabulate(lam: TimeLike, up_to_t: TimeLike) -> FibPrefix:
     """The whole ``F_lambda`` prefix on ``[0, up_to_t]`` in one pass,
     served from the shared per-``lambda`` cache.
 
-    See :class:`FibPrefix`; typical builder usage pairs it with
-    :func:`postal_f` for the horizon::
+    See :class:`FibPrefix`; typical usage pairs it with :func:`postal_f`
+    for the horizon, e.g. the BCAST split point ``F(f(size) - 1)``::
 
         prefix = tabulate(lam, postal_f(lam, n))
-        j = prefix.split(size)      # F(f(size) - 1), raw bisects
+        j = prefix.value_at(prefix.index(size) - 1)
     """
     return _cached(lam).tabulate(up_to_t)

@@ -20,20 +20,16 @@ Three ways to broadcast ``m`` messages, each compiled to the common
 
 All three preserve message order at every processor.
 
-All builders here are iterative (explicit worklists — no recursion
-limit at any ``n``), and each has an integer-tick twin in
-:mod:`repro.plan.build` that compiles the same recurrence into a
-columnar :class:`~repro.plan.columns.SchedulePlan` with byte-identical
-events at a fraction of the construction time and memory.
+Each recurrence is implemented once, in integer ticks, in
+:mod:`repro.plan.build`; the builders here are event-object views of it
+(:func:`repro.plan.build.compile_schedule`), exact at every rational
+``lambda``.
 """
 
 from __future__ import annotations
 
-from repro.core.bcast import bcast_events
-from repro.core.fibfunc import GeneralizedFibonacci, postal_f
-from repro.core.schedule import Schedule, SendEvent
-from repro.errors import InvalidParameterError
-from repro.types import ProcId, Time, TimeLike, ZERO, as_time
+from repro.core.schedule import Schedule
+from repro.types import TimeLike, as_time
 
 __all__ = [
     "repeat_schedule",
@@ -41,13 +37,6 @@ __all__ = [
     "pipeline_schedule",
     "pipeline_variant",
 ]
-
-
-def _check_nm(n: int, m: int) -> None:
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 processors, got {n}")
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1 messages, got {m}")
 
 
 def repeat_schedule(n: int, m: int, lam: TimeLike, *, validate: bool = True) -> Schedule:
@@ -58,14 +47,9 @@ def repeat_schedule(n: int, m: int, lam: TimeLike, *, validate: bool = True) -> 
     before iteration ``i`` terminates — so consecutive iterations are spaced
     ``f_lambda(n) - (lambda - 1)`` apart (Lemma 10).
     """
-    _check_nm(n, m)
-    lam = as_time(lam)
-    events: list[SendEvent] = []
-    if n >= 2:
-        stride = postal_f(lam, n) - (lam - 1)
-        for i in range(m):
-            events.extend(bcast_events(n, lam, start=i * stride, msg=i))
-    return Schedule(n, lam, events, m=m, validate=validate)
+    from repro.plan.build import compile_schedule
+
+    return compile_schedule("REPEAT", n, m, lam, validate=validate)
 
 
 def pack_schedule(n: int, m: int, lam: TimeLike, *, validate: bool = True) -> Schedule:
@@ -77,18 +61,9 @@ def pack_schedule(n: int, m: int, lam: TimeLike, *, validate: bool = True) -> Sc
     ``m*t', m*t'+1, ..., m*t'+m-1``.  Every processor finishes receiving the
     whole pack before its first forwarding send, as the algorithm requires.
     """
-    _check_nm(n, m)
-    lam = as_time(lam)
-    if lam < 1:
-        raise InvalidParameterError(f"the postal model requires lambda >= 1, got {lam}")
-    lam_packed = 1 + (lam - 1) / m
-    abstract = bcast_events(n, lam_packed)
-    events = [
-        SendEvent(m * ev.send_time + k, ev.sender, k, ev.receiver)
-        for ev in abstract
-        for k in range(m)
-    ]
-    return Schedule(n, lam, events, m=m, validate=validate)
+    from repro.plan.build import compile_schedule
+
+    return compile_schedule("PACK", n, m, lam, validate=validate)
 
 
 def pipeline_variant(m: int, lam: TimeLike) -> str:
@@ -115,32 +90,6 @@ def pipeline_schedule(n: int, m: int, lam: TimeLike, *, validate: bool = True) -
     ``m >= lambda``) — the role swap Section 4.2 describes.  With ``m = 1``
     this degenerates to Algorithm BCAST.
     """
-    _check_nm(n, m)
-    lam = as_time(lam)
-    if lam < 1:
-        raise InvalidParameterError(f"the postal model requires lambda >= 1, got {lam}")
-    sender_first = m <= lam  # who is free earlier after a stream
-    lam_p = (lam / m) if sender_first else (Time(m) / lam)
-    fib = GeneralizedFibonacci(lam_p)
-    events: list[SendEvent] = []
-    if n == 1:
-        return Schedule(n, lam, events, m=m, validate=validate)
-    # one-pass F_{lambda'} prefix; every split below is two raw bisects
-    prefix = fib.tabulate(fib.index(n))
-    # (lo, size, t): `lo` holds (or is receiving) the full stream and may
-    # start transmitting it at time t to processors in lo .. lo+size-1.
-    stack: list[tuple[ProcId, int, Time]] = [(0, n, ZERO)]
-    while stack:
-        lo, size, t = stack.pop()
-        if size == 1:
-            continue
-        j = prefix.split(size)  # larger-side size
-        if sender_first:
-            keep, give = j, size - j  # sender keeps the larger side
-        else:
-            keep, give = size - j, j  # recipient takes the larger side
-        v = lo + keep
-        events.extend(SendEvent(t + k, lo, k, v) for k in range(m))
-        stack.append((lo, keep, t + m))
-        stack.append((v, give, t + lam))
-    return Schedule(n, lam, events, m=m, validate=validate)
+    from repro.plan.build import compile_schedule
+
+    return compile_schedule("PIPELINE", n, m, lam, validate=validate)

@@ -19,12 +19,18 @@ Typical use::
     plan.audit()                      # full postal validation, in place
     system = plan.replay()            # turbo execution, no tick re-derivation
     schedule = plan.to_schedule()     # classic event objects when needed
+
+:func:`compile_schedule` runs the same compilers without the plan's
+tick-scale cap and decodes straight into a classic
+:class:`~repro.core.schedule.Schedule` — the constructor behind every
+static broadcast builder (``bcast_schedule``, ``pipeline_schedule``, ...).
 """
 
 from repro.plan.build import (
     canonical_family,
     collective_plan_families,
     compile_plan,
+    compile_schedule,
     plan_families,
     plan_m,
 )
@@ -40,6 +46,7 @@ from repro.plan.columns import SchedulePlan
 __all__ = [
     "SchedulePlan",
     "compile_plan",
+    "compile_schedule",
     "canonical_family",
     "plan_families",
     "collective_plan_families",

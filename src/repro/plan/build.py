@@ -1,27 +1,31 @@
-"""Integer-tick plan compilers for the broadcast and collective families.
+"""The broadcast and collective recurrences, compiled in integer ticks.
 
-Each compiler runs the *same recurrence* as its ``repro.core`` or
-``repro.collectives`` builder — BCAST's generalized-Fibonacci split
-(Section 3), REPEAT's overlapped iterations (Lemma 10), PACK's
-normalized latency (Lemma 12), PIPELINE's role swap (Lemmas 14/16),
-DTREE's event-driven drain (Section 4.3), and the nine collective shapes
-(gather/scatter stars, the alltoall rotation, the reversed-tree combine
-compositions, the gather+pipeline and Bruck allgathers, the gossip
-ring) — but entirely in **integer ticks** on the run's
-:class:`~repro.turbo.ticks.TickDomain`:
+This module is the **only** implementation of every schedule family's
+recurrence — BCAST's generalized-Fibonacci split (Section 3), REPEAT's
+overlapped iterations (Lemma 10), PACK's normalized latency (Lemma 12),
+PIPELINE's role swap (Lemmas 14/16), DTREE's event-driven drain
+(Section 4.3), the STAR and BINOMIAL baselines, and the nine collective
+shapes (gather/scatter stars, the alltoall rotation, the reversed-tree
+combine compositions, the gather+pipeline and Bruck allgathers, the
+gossip ring).  Each compiler works at an integer tick ``scale`` (ticks
+per time unit) and emits one packed integer key per send:
 
 * no per-event :class:`~repro.core.schedule.SendEvent` objects,
 * no per-event :class:`fractions.Fraction` arithmetic,
-* no recursion (explicit worklists throughout, like
-  :func:`repro.core.bcast.bcast_events` since the turbo PR — ``n >= 10^6``
-  never touches the recursion limit),
+* no recursion (explicit worklists throughout — ``n >= 10^6`` never
+  touches the recursion limit),
 * one C-speed ``list.sort`` of packed integer keys instead of a
   ``Fraction``-comparing event sort.
 
-The output :class:`~repro.plan.columns.SchedulePlan` converts to a
-:class:`~repro.core.schedule.Schedule` with events *byte-identical* to the
-corresponding builder's (``tests/test_plan_roundtrip.py`` pins this for
-every family and rational lambda).
+Two views decode the keys.  :func:`compile_plan` stores them as the
+``int64`` columns of a :class:`~repro.plan.columns.SchedulePlan`, whose
+tick scale is capped at :data:`~repro.turbo.ticks.MAX_SCALE`.
+:func:`compile_schedule` — what the ``repro.core`` and
+``repro.algorithms`` builders call — decodes them straight into
+``SendEvent`` objects at lambda's own denominator, with no cap, so every
+rational lambda (binary floats such as ``2.1`` included) builds.  The
+independent witnesses are the event-driven protocols on the exact
+engine, the closed-form oracles and the :mod:`repro.core.optimal` DP.
 
 Split points ``j = F_lambda(f_lambda(size) - 1)`` come from an
 integer-rescaled copy of the one-pass
@@ -33,10 +37,12 @@ distinct subrange sizes, so split cost vanishes from the profile.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from fractions import Fraction
 
 from repro.core.dtree import DTreeShape, resolve_degree
 from repro.core.fibfunc import FibPrefix, GeneralizedFibonacci, postal_f
 from repro.core.multi import pipeline_variant
+from repro.core.schedule import Schedule, SendEvent
 from repro.errors import InvalidParameterError
 from repro.plan.columns import SchedulePlan
 from repro.turbo.ticks import TickDomain
@@ -44,6 +50,7 @@ from repro.types import Time, TimeLike, as_time
 
 __all__ = [
     "compile_plan",
+    "compile_schedule",
     "canonical_family",
     "plan_families",
     "collective_plan_families",
@@ -91,10 +98,19 @@ def _int_prefix(lam_eff: Time, n: int) -> _IntPrefix:
     return _IntPrefix(prefix, lam_eff.denominator)
 
 
+def _ticks(scale: int, value: Time) -> int:
+    """*value* in ticks (``scale`` per time unit).  Exact: every time a
+    compiler converts lies on the grid ``{a + b*lambda}``, which the
+    compile scale (lambda's denominator) represents without remainder."""
+    ticks, rem = divmod(value.numerator * scale, value.denominator)
+    assert not rem, f"{value} is off the 1/{scale} tick grid"
+    return ticks
+
+
 # --------------------------------------------------------------- compilers
 #
 # Every compiler emits packed keys ((tick*n + sender)*m + msg)*n + receiver
-# into a plain list; SchedulePlan.from_sorted_keys sorts and decodes them.
+# into a plain list; compile_plan and compile_schedule sort and decode them.
 
 
 def _bcast_keys(
@@ -129,7 +145,7 @@ def _bcast_keys(
         push((lo + j, size - j, t + lam_ticks))
 
 
-def _compile_bcast(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_bcast(n: int, m: int, lam: Time, scale: int) -> list[int]:
     if m != 1:
         raise InvalidParameterError(
             f"BCAST broadcasts a single message; got m={m} "
@@ -139,28 +155,28 @@ def _compile_bcast(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
     if n >= 2:
         sp = _int_prefix(lam, n)
         _bcast_keys(
-            keys, sp, 0, n, 0, domain.scale, domain.to_ticks(lam), n, 1, 0
+            keys, sp, 0, n, 0, scale, _ticks(scale, lam), n, 1, 0
         )
     return keys
 
 
-def _compile_repeat(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_repeat(n: int, m: int, lam: Time, scale: int) -> list[int]:
     keys: list[int] = []
     if n >= 2:
         sp = _int_prefix(lam, n)
-        one = domain.scale
-        lam_ticks = domain.to_ticks(lam)
+        one = scale
+        lam_ticks = _ticks(scale, lam)
         # iteration stride f_lambda(n) - (lambda - 1), exact (Lemma 10)
-        stride = domain.to_ticks(postal_f(lam, n) - (lam - 1))
+        stride = _ticks(scale, postal_f(lam, n) - (lam - 1))
         for i in range(m):
             _bcast_keys(keys, sp, 0, n, i * stride, one, lam_ticks, n, m, i)
     return keys
 
 
-def _compile_pack(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_pack(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """PACK: run the abstract BCAST recursion with normalized latency
     ``lambda' = 1 + (lambda-1)/m`` at the finer scale ``q*m`` (q =
-    ``domain.scale``), where one abstract unit is ``q*m`` ticks and
+    ``scale``), where one abstract unit is ``q*m`` ticks and
     ``lambda'`` is ``q*m + (p - q)`` ticks.  An abstract send at ``t'``
     unpacks into unit sends at real times ``m*t' + k``; since ``(m*t') *
     q == t' * (q*m)``, the abstract tick value *is* the real tick of the
@@ -168,11 +184,11 @@ def _compile_pack(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
     keys: list[int] = []
     if n < 2:
         return keys
-    q = domain.scale
+    q = scale
     lam_packed = 1 + (lam - 1) / m
     sp = _int_prefix(lam_packed, n)
     one_abs = q * m
-    lam_abs = one_abs + (domain.to_ticks(lam) - q)  # lambda' at scale q*m
+    lam_abs = one_abs + (_ticks(scale, lam) - q)  # lambda' at scale q*m
     split = sp.split
     append = keys.append
     nm = n * m
@@ -194,7 +210,7 @@ def _compile_pack(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
 
 
 def _compile_pipeline(
-    n: int, m: int, lam: Time, domain: TickDomain, t0: int = 0
+    n: int, m: int, lam: Time, scale: int, t0: int = 0
 ) -> list[int]:
     """PIPELINE: after a stream transmission at tick ``t`` the sender is
     free at ``t + m`` and the recipient at ``t + lambda``; whoever is free
@@ -208,9 +224,9 @@ def _compile_pipeline(
     sender_first = m <= lam
     lam_p = (lam / m) if sender_first else (Time(m) / lam)
     sp = _int_prefix(lam_p, n)
-    one = domain.scale
+    one = scale
     m_ticks = m * one
-    lam_ticks = domain.to_ticks(lam)
+    lam_ticks = _ticks(scale, lam)
     split = sp.split
     append = keys.append
     nm = n * m
@@ -235,13 +251,11 @@ def _compile_pipeline(
     return keys
 
 
-def _compile_binomial(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
-    """BINOMIAL: the telephone-era binomial split in ticks — the same
-    recurrence as :func:`repro.algorithms.baselines.binomial_schedule`
-    (the sender keeps the low ``size - half`` ranks, hands the top
-    ``half`` — the largest power of two below ``size`` — to
-    ``base + size - half``; the recipient forwards from arrival,
-    ``t + lambda``)."""
+def _compile_binomial(n: int, m: int, lam: Time, scale: int) -> list[int]:
+    """BINOMIAL: the telephone-era binomial split in ticks (the sender
+    keeps the low ``size - half`` ranks, hands the top ``half`` — the
+    largest power of two below ``size`` — to ``base + size - half``; the
+    recipient forwards from arrival, ``t + lambda``)."""
     if m != 1:
         raise InvalidParameterError(
             f"BINOMIAL broadcasts a single message; got m={m} "
@@ -249,8 +263,8 @@ def _compile_binomial(n: int, m: int, lam: Time, domain: TickDomain) -> list[int
         )
     keys: list[int] = []
     append = keys.append
-    one = domain.scale
-    lam_ticks = domain.to_ticks(lam)
+    one = scale
+    lam_ticks = _ticks(scale, lam)
     stack: list[tuple[int, int, int]] = [(0, n, 0)]
     while stack:
         base, size, t = stack.pop()
@@ -263,22 +277,20 @@ def _compile_binomial(n: int, m: int, lam: Time, domain: TickDomain) -> list[int
         append((t * n + base) * n + (base + j))  # m = 1: msg index 0
         stack.append((base, j, t + one))
         stack.append((base + j, half, t + lam_ticks))
-    keys.sort()
     return keys
 
 
 def _compile_dtree(
-    n: int, m: int, lam: Time, domain: TickDomain, d: int
+    n: int, m: int, lam: Time, scale: int, d: int
 ) -> list[int]:
     """DTREE: the deterministic event-driven drain of Section 4.3 over the
-    BFS-numbered degree-``d`` tree, in ticks (same fixed point as
-    :func:`repro.core.dtree.dtree_schedule`: per-node FIFO, message-major,
-    children left to right)."""
+    BFS-numbered degree-``d`` tree, in ticks — the fixed point of
+    per-node FIFO send queues, message-major, children left to right."""
     keys: list[int] = []
     if n < 2:
         return keys
-    one = domain.scale
-    lam_ticks = domain.to_ticks(lam)
+    one = scale
+    lam_ticks = _ticks(scale, lam)
     append = keys.append
     nm = n * m
     step = one * nm  # key increment for one send-port unit
@@ -318,28 +330,28 @@ def _compile_dtree(
 # :meth:`~repro.plan.columns.SchedulePlan.audit`.
 
 
-def _compile_gather(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_gather(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """GATHER: ``p_i`` sends message ``i - 1`` straight to the root at
     tick ``i - 1`` — the root's receive port serializes perfectly."""
-    one = domain.scale
+    one = scale
     nm = n * m
     return [
         ((i - 1) * one * nm + i * m + (i - 1)) * n for i in range(1, n)
     ]
 
 
-def _compile_scatter(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_scatter(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """SCATTER: the root sends message ``i - 1`` to ``p_i`` at tick
     ``i - 1`` (the mirror image of GATHER)."""
-    one = domain.scale
+    one = scale
     nm = n * m
     return [((i - 1) * one * nm + (i - 1)) * n + i for i in range(1, n)]
 
 
-def _compile_alltoall(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_alltoall(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """ALLTOALL: rotation round ``r`` at tick ``r`` — ``p_i`` sends
     message ``r`` to ``p_{(i+r+1) mod n}``."""
-    one = domain.scale
+    one = scale
     nm = n * m
     return [
         (r * one * nm + i * m + r) * n + (i + r + 1) % n
@@ -348,14 +360,14 @@ def _compile_alltoall(n: int, m: int, lam: Time, domain: TickDomain) -> list[int
     ]
 
 
-def _compile_reduce(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_reduce(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """REDUCE: the time-reversed BCAST tree — each forward send
     ``(t, s -> r)`` becomes ``(f_lambda(n) - t - lambda, r -> s)``."""
-    fwd = _compile_bcast(n, 1, lam, domain)
+    fwd = _compile_bcast(n, 1, lam, scale)
     if not fwd:
         return fwd
-    lam_ticks = domain.to_ticks(lam)
-    max_t = domain.to_ticks(postal_f(lam, n)) - lam_ticks
+    lam_ticks = _ticks(scale, lam)
+    max_t = _ticks(scale, postal_f(lam, n)) - lam_ticks
     keys = []
     for key in fwd:
         key, r = divmod(key, n)
@@ -365,42 +377,42 @@ def _compile_reduce(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
 
 
 def _compile_combine_bcast(
-    n: int, m: int, lam: Time, domain: TickDomain
+    n: int, m: int, lam: Time, scale: int
 ) -> list[int]:
     """ALLREDUCE / BARRIER: the reversed tree up (combine), then BCAST
     itself shifted by ``f_lambda(n)`` (the result / release down) — total
     ``2 f_lambda(n)``."""
-    keys = _compile_reduce(n, m, lam, domain)
+    keys = _compile_reduce(n, m, lam, scale)
     if keys:
-        shift = domain.to_ticks(postal_f(lam, n)) * n * n
-        keys.extend(key + shift for key in _compile_bcast(n, 1, lam, domain))
+        shift = _ticks(scale, postal_f(lam, n)) * n * n
+        keys.extend(key + shift for key in _compile_bcast(n, 1, lam, scale))
     return keys
 
 
-def _compile_allgather(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_allgather(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """ALLGATHER: gather (rumor ``i`` to the root at tick ``i - 1``) then
     the ``m = n`` PIPELINE stream started at ``max(n-1, lambda-1)``."""
     keys: list[int] = []
     if n < 2:
         return keys
-    one = domain.scale
+    one = scale
     nm = n * m
     keys.extend(
         ((i - 1) * one * nm + i * m + i) * n for i in range(1, n)
     )
-    t0 = max((n - 1) * one, domain.to_ticks(lam) - one)
-    keys.extend(_compile_pipeline(n, n, lam, domain, t0))
+    t0 = max((n - 1) * one, _ticks(scale, lam) - one)
+    keys.extend(_compile_pipeline(n, n, lam, scale, t0))
     return keys
 
 
-def _compile_bruck(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_bruck(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """BRUCK-ALLGATHER: doubling rounds of cyclic-shift blocks; round
     ``r+1`` starts the tick the previous block's last rumor lands."""
     keys: list[int] = []
     if n < 2:
         return keys
-    one = domain.scale
-    lam_ticks = domain.to_ticks(lam)
+    one = scale
+    lam_ticks = _ticks(scale, lam)
     nm = n * m
     append = keys.append
     t = 0
@@ -417,13 +429,13 @@ def _compile_bruck(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
     return keys
 
 
-def _compile_gossip(n: int, m: int, lam: Time, domain: TickDomain) -> list[int]:
+def _compile_gossip(n: int, m: int, lam: Time, scale: int) -> list[int]:
     """GOSSIP-RING: at step ``k`` (tick ``k*lambda``) ``p_i`` forwards
     rumor ``(i - k) mod n`` to its ring successor."""
     keys: list[int] = []
     if n < 2:
         return keys
-    lam_ticks = domain.to_ticks(lam)
+    lam_ticks = _ticks(scale, lam)
     nm = n * m
     keys.extend(
         (k * lam_ticks * nm + i * m + (i - k) % n) * n + (i + 1) % n
@@ -545,10 +557,44 @@ def canonical_family(family: str, n: int, m: int, lam: TimeLike) -> str:
             ) from None
         return fam
     raise InvalidParameterError(
-        f"the plan layer cannot compile family {family!r} "
-        f"(supported: {', '.join(plan_families())}, "
-        f"{', '.join(collective_plan_families())}, and DTREE-<d>)"
+        f"unknown family {family!r} (broadcast: "
+        f"{', '.join(plan_families())}, DTREE-<d>; collective: "
+        f"{', '.join(collective_plan_families())})"
     )
+
+
+def _resolve(family: str, n: int, m: int, lam: TimeLike) -> tuple[str, Time]:
+    """Check ``(n, m, lambda)`` against the postal model and canonicalize
+    *family* — the parameter contract :func:`compile_plan` and
+    :func:`compile_schedule` share."""
+    if n < 1:
+        raise InvalidParameterError(f"need n >= 1 processors, got {n}")
+    if m < 1:
+        raise InvalidParameterError(f"need m >= 1 messages, got {m}")
+    lam = as_time(lam)
+    if lam < 1:
+        raise InvalidParameterError(
+            f"the postal model requires lambda >= 1, got {lam}"
+        )
+    return canonical_family(family, n, m, lam), lam
+
+
+def _broadcast_keys(fam: str, n: int, m: int, lam: Time, scale: int) -> list[int]:
+    """The packed keys of broadcast family *fam* (canonical) at *scale*."""
+    if fam == "BCAST":
+        return _compile_bcast(n, m, lam, scale)
+    if fam == "REPEAT":
+        return _compile_repeat(n, m, lam, scale)
+    if fam == "PACK":
+        return _compile_pack(n, m, lam, scale)
+    if fam.startswith("PIPELINE"):
+        return _compile_pipeline(n, m, lam, scale)
+    if fam == "BINOMIAL":
+        return _compile_binomial(n, m, lam, scale)
+    shape = _DTREE_SHAPES.get(fam, None)
+    if shape is None:  # DTREE-<d> with an explicit degree
+        shape = int(fam[6:])
+    return _compile_dtree(n, m, lam, scale, resolve_degree(shape, n, lam))
 
 
 def compile_plan(
@@ -562,9 +608,10 @@ def compile_plan(
     """Compile ``(family, n, m, lambda)`` into a columnar
     :class:`~repro.plan.columns.SchedulePlan`.
 
-    Pure integer-tick construction: iterative, allocation-light, and
-    byte-identical (via :meth:`~repro.plan.columns.SchedulePlan.
-    to_schedule`) to the corresponding ``repro.core`` builder.
+    Pure integer-tick construction, iterative and allocation-light.  The
+    plan's ``int64`` tick columns cap the scale at
+    :data:`~repro.turbo.ticks.MAX_SCALE`; :func:`compile_schedule` runs
+    the same compilers uncapped for the event-object builders.
 
     Args:
         family: one of :func:`plan_families`,
@@ -577,8 +624,8 @@ def compile_plan(
             :meth:`~repro.plan.columns.SchedulePlan.audit` (broadcast
             families) or :meth:`~repro.plan.columns.SchedulePlan.
             audit_ports` (collectives) before returning (off by default
-            — the compilers are the same provably-correct recurrences as
-            the builders; the conformance suite audits independently).
+            — the event-driven protocols, the oracles and the
+            conformance suite check the compilers independently).
 
     Raises:
         InvalidParameterError: unknown family, or parameters outside the
@@ -586,47 +633,69 @@ def compile_plan(
         TickDomainError: ``lambda``'s denominator exceeds the supported
             tick scale.
     """
-    if n < 1:
-        raise InvalidParameterError(f"need n >= 1 processors, got {n}")
-    if m < 1:
-        raise InvalidParameterError(f"need m >= 1 messages, got {m}")
-    lam = as_time(lam)
-    if lam < 1:
-        raise InvalidParameterError(
-            f"the postal model requires lambda >= 1, got {lam}"
-        )
-    fam = canonical_family(family, n, m, lam)
+    fam, lam = _resolve(family, n, m, lam)
     domain = TickDomain.for_values([lam])
 
     entry = _COLLECTIVE_COMPILERS.get(fam)
     if entry is not None:
         compiler, _ = entry
         m_eff = plan_m(fam, n, m)
-        keys = compiler(n, m_eff, lam, domain)
+        keys = compiler(n, m_eff, lam, domain.scale)
         plan = SchedulePlan.from_sorted_keys(fam, n, m_eff, lam, domain, keys)
         if validate:
             plan.audit_ports()
         return plan
 
-    if fam == "BCAST":
-        keys = _compile_bcast(n, m, lam, domain)
-    elif fam == "REPEAT":
-        keys = _compile_repeat(n, m, lam, domain)
-    elif fam == "PACK":
-        keys = _compile_pack(n, m, lam, domain)
-    elif fam.startswith("PIPELINE"):
-        keys = _compile_pipeline(n, m, lam, domain)
-    elif fam == "BINOMIAL":
-        keys = _compile_binomial(n, m, lam, domain)
-    else:
-        shape = _DTREE_SHAPES.get(fam, None)
-        if shape is None:  # DTREE-<d> with an explicit degree
-            shape = int(fam[6:])
-        keys = _compile_dtree(
-            n, m, lam, domain, resolve_degree(shape, n, lam)
-        )
-
+    keys = _broadcast_keys(fam, n, m, lam, domain.scale)
     plan = SchedulePlan.from_sorted_keys(fam, n, m, lam, domain, keys)
     if validate:
         plan.audit()
     return plan
+
+
+def compile_schedule(
+    family: str,
+    n: int,
+    m: int,
+    lam: TimeLike,
+    *,
+    validate: bool = False,
+) -> Schedule:
+    """Compile a *broadcast* family straight into an event-object
+    :class:`~repro.core.schedule.Schedule`.
+
+    The constructor behind every static broadcast builder
+    (:func:`~repro.core.bcast.bcast_schedule`, the multi-message, DTREE,
+    STAR and BINOMIAL builders).  It runs the :func:`compile_plan`
+    compilers at lambda's own denominator with no tick-scale cap — so a
+    binary float such as ``2.1`` (denominator ``2**51``) builds exactly —
+    and decodes the sorted keys directly into
+    :class:`~repro.core.schedule.SendEvent` objects.
+
+    Args:
+        family: one of :func:`plan_families`, ``"PIPELINE"``, or
+            ``"DTREE-<d>"``.
+        validate: run :meth:`Schedule.validate
+            <repro.core.schedule.Schedule.validate>` on the result.
+
+    Raises:
+        InvalidParameterError: unknown or collective family, or
+            parameters outside the family's domain.
+    """
+    fam, lam = _resolve(family, n, m, lam)
+    if fam in _COLLECTIVE_COMPILERS:
+        raise InvalidParameterError(
+            f"{fam} is a collective; schedules build for the broadcast "
+            f"families only ({', '.join(plan_families())}, DTREE-<d>)"
+        )
+    scale = lam.denominator
+    keys = _broadcast_keys(fam, n, m, lam, scale)
+    keys.sort()
+    events: list[SendEvent] = []
+    append = events.append
+    for key in keys:
+        key, r = divmod(key, n)
+        key, k = divmod(key, m)
+        t, s = divmod(key, n)
+        append(SendEvent(Fraction(t, scale), s, k, r))
+    return Schedule(n, lam, events, m=m, validate=validate)

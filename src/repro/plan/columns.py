@@ -212,9 +212,9 @@ class SchedulePlan:
     def to_schedule(self, *, validate: bool = False) -> Schedule:
         """Materialize the classic event-object :class:`Schedule`.
 
-        The produced events are byte-identical to the corresponding
-        builder's output (``repro.core`` builders and plan compilers run
-        the same recurrences); the round trip
+        The events equal those of the family's static builder, which
+        decodes the same compiler's keys
+        (:func:`repro.plan.build.compile_schedule`); the round trip
         ``SchedulePlan.from_schedule(plan.to_schedule())`` is the
         identity.
         """

@@ -6,7 +6,6 @@ import pytest
 
 from repro.core.bcast import (
     BroadcastTree,
-    bcast_events,
     bcast_schedule,
     bcast_tree,
 )
@@ -40,7 +39,7 @@ class TestSchedule:
 
     def test_bad_n(self):
         with pytest.raises(InvalidParameterError):
-            bcast_events(0, 2)
+            bcast_schedule(0, 2)
 
     @pytest.mark.parametrize("lam", LAMBDAS, ids=str)
     def test_informed_count_bounded_by_F(self, lam):

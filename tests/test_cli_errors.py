@@ -1,6 +1,7 @@
 """CLI error paths exit non-zero with a one-line message, never a
 traceback: unknown backend, off-grid / out-of-model lambda, a bad
-``--jobs`` count, and a ``repro tune`` query no family can serve.
+``--jobs`` count, a ``repro tune`` query no family can serve, and a
+``repro gantt --algorithm`` that names no broadcast family.
 
 Central handling lives in :func:`repro.cli.main`: any
 :class:`~repro.errors.ReproError` escaping a subcommand prints
@@ -99,3 +100,37 @@ class TestInapplicableTuneQuery:
         )
         assert code == 2
         assert err == "error: need n >= 2 to tune, got n=1\n"
+
+
+class TestGanttAlgorithm:
+    @pytest.mark.parametrize(
+        "algorithm, m, message",
+        [
+            ("dtree-x", "1", "error: unknown DTREE shape 'dtree-x'"),
+            ("foo", "1", "error: unknown family 'foo'"),
+            ("gather", "1", "error: GATHER is a collective"),
+            ("bcast", "2", "error: BCAST broadcasts a single message"),
+            ("binomial", "2", "error: BINOMIAL broadcasts a single message"),
+        ],
+    )
+    def test_bad_algorithm(self, capsys, algorithm, m, message):
+        code, out, err = run_cli_err(
+            capsys, "gantt", "--n", "6", "--lam", "2", "--m", m,
+            "--algorithm", algorithm,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "algorithm, completion",
+        [("dtree-line", "10"), ("dtree-latency", "5"), ("DTREE-BINARY", "5")],
+    )
+    def test_named_dtree_shapes(self, capsys, algorithm, completion):
+        code, out, err = run_cli_err(
+            capsys, "gantt", "--n", "6", "--lam", "2", "--algorithm", algorithm,
+        )
+        assert code == 0
+        assert err == ""
+        assert out.endswith(f"completion: {completion}\n")

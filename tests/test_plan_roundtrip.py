@@ -2,10 +2,11 @@
 
 The plan layer's contract is *byte identity*: for every family it can
 compile, ``compile_plan(...).to_schedule()`` must produce events equal —
-as exact ``(Fraction, int, int, int)`` tuples — to the classic
-``repro.core`` builder the conformance oracle registry points at.  This
-suite pins that across all plan-compatible conformance families and
-rational latencies (5/2, 7/3 included), plus:
+as exact ``(Fraction, int, int, int)`` tuples — to the schedule the
+family's event-driven protocol realizes on the exact engine, a witness
+that shares no scheduling code with the compilers.  This suite pins
+that across all plan-compatible conformance families and rational
+latencies (5/2, 7/3 included), plus:
 
 * the lossless ``SchedulePlan.from_schedule`` inverse,
 * turbo replay equivalence (the plan drives the event loop directly),
@@ -37,6 +38,7 @@ from repro.plan import (
     compile_plan,
     plan_families,
 )
+from repro.postal import run_protocol
 from repro.turbo import TickDomain
 from repro.types import as_time
 
@@ -65,15 +67,17 @@ def _grid(family, lam):
 @pytest.mark.parametrize("lam_str", LAMBDAS)
 @pytest.mark.parametrize("family", plan_families())
 def test_plan_events_byte_identical_to_builder(family, lam_str):
-    """``compile_plan(...).to_schedule()`` equals the oracle's independent
-    static builder, event for event, with exact ``Fraction`` times."""
+    """``compile_plan(...).to_schedule()`` equals the schedule the
+    family's event-driven protocol realizes on the exact engine, event
+    for event, with exact ``Fraction`` times.  (The static builders are
+    views of the same compilers, so they are no independent witness.)"""
     oracle = get_oracle(family)
     lam = as_time(lam_str)
     grid = _grid(family, lam)
     if not grid:
         pytest.skip(f"no applicable (n, m) for {family} at lambda={lam_str}")
     for n, m in grid:
-        ref = oracle.schedule(n, m, lam)
+        ref = run_protocol(oracle.protocol(n, m, lam), collect=False).schedule
         plan = compile_plan(family, n, m, lam, validate=True)
         got = plan.to_schedule(validate=True)
         assert got.events == ref.events, f"{family} n={n} m={m} lam={lam_str}"
@@ -384,9 +388,12 @@ def test_core_builders_are_iterative_too():
 
 
 def test_large_plan_matches_builder_exactly():
-    """One big differential point: n = 20000 at the paper's lambda."""
-    from repro.core.bcast import bcast_schedule
+    """One big differential point: n = 20000 at the paper's lambda,
+    against the BCAST protocol run on the turbo lane."""
+    from repro.algorithms import BcastProtocol
 
     plan = compile_plan("BCAST", 20_000, 1, "5/2")
-    ref = bcast_schedule(20_000, "5/2", validate=False)
+    ref = run_protocol(
+        BcastProtocol(20_000, "5/2"), backend="turbo", collect=False
+    ).schedule
     assert plan.to_schedule().events == ref.events
