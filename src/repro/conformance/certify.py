@@ -31,14 +31,15 @@ another and the fuzzer can file a complete failure artifact.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.fibfunc import postal_F
+from repro.core.fibfunc import check_informed_bound
 from repro.core.orderpres import check_order_preserving
 from repro.core.schedule import Schedule
-from repro.errors import InvalidParameterError, ReproError
+from repro.errors import InvalidParameterError, ReproError, ScheduleError
 from repro.obs.metrics import cross_check_metrics
 from repro.postal.machine import ContentionPolicy
 from repro.postal.runner import ProtocolResult, run_protocol
@@ -190,24 +191,26 @@ def _certify_schedule(
         )
 
     # Lemma 5 certificate: for every message, the informed population at
-    # each arrival instant never exceeds F_lambda(t)
+    # each arrival instant never exceeds F_lambda(t) — the replay audit's
+    # integer check, at the schedule's own (uncapped) denominator
     def lemma5() -> None:
-        per_msg: dict[int, list[Time]] = {}
-        for (proc, k), arr in schedule.arrivals().items():
-            if proc != schedule.root:
-                per_msg.setdefault(k, []).append(arr)
-        for k, arrivals in per_msg.items():
-            arrivals.sort()
-            informed = 1  # the root
-            for t in arrivals:
-                informed += 1
-                bound = postal_F(lam, t)
-                if informed > bound:
-                    result.violations.append(
-                        f"Lemma 5: {informed} processors know M{k + 1} at "
-                        f"t={time_repr(t)} but F_lambda(t) = {bound}"
-                    )
-                    return
+        arrivals = [
+            (k, t)
+            for (proc, k), t in schedule.arrivals().items()
+            if proc != schedule.root
+        ]
+        scale = math.lcm(
+            lam.denominator, *(t.denominator for _, t in arrivals)
+        )
+        try:
+            check_informed_bound(
+                lam,
+                scale,
+                [k for k, _ in arrivals],
+                [t.numerator * (scale // t.denominator) for _, t in arrivals],
+            )
+        except ScheduleError as exc:
+            result.violations.append(str(exc))
 
     _check(result, "Lemma 5", lemma5)
 

@@ -41,12 +41,14 @@ from fractions import Fraction
 from typing import Iterable, Iterator
 
 from repro.core.stepfunc import StepFunction
-from repro.errors import InvalidParameterError
-from repro.types import Time, TimeLike, ZERO, as_time
+from repro.errors import InvalidParameterError, ScheduleError
+from repro.types import Time, TimeLike, ZERO, as_time, time_repr
 
 __all__ = [
     "GeneralizedFibonacci",
     "FibPrefix",
+    "IntPrefix",
+    "check_informed_bound",
     "postal_F",
     "postal_f",
     "tabulate",
@@ -104,6 +106,41 @@ class FibPrefix:
             f"FibPrefix({len(self.times)} jumps, "
             f"up to t={self.times[-1]}, F={self.values[-1]})"
         )
+
+
+class IntPrefix:
+    """A :class:`FibPrefix` with jump times rescaled to integer ticks
+    (``scale`` ticks per time unit), plus a split memo.
+
+    Every jump time lies on the grid ``{a + b*lambda}``, so any multiple
+    of lambda's denominator is a lossless *scale*.  The schedule
+    compilers (:mod:`repro.plan.build`) take BCAST split points from it
+    and :func:`check_informed_bound` reads its jump table: zero
+    ``Fraction`` arithmetic in either inner loop.
+    """
+
+    __slots__ = ("times", "values", "scale", "_memo")
+
+    def __init__(self, prefix: FibPrefix, scale: int):
+        self.times = [
+            t.numerator * (scale // t.denominator) for t in prefix.times
+        ]
+        self.values = list(prefix.values)
+        self.scale = scale
+        self._memo: dict[int, int] = {}
+
+    def split(self, size: int) -> int:
+        """The BCAST split point ``F(f(size) - 1)``, from two raw
+        bisects over the integer arrays."""
+        j = self._memo.get(size)
+        if j is None:
+            # f(size): first jump whose value reaches `size`; then F one
+            # time unit (= `scale` ticks) earlier.
+            i = bisect.bisect_left(self.values, size)
+            t = self.times[i] - self.scale
+            j = self.values[bisect.bisect_right(self.times, t) - 1]
+            self._memo[size] = j
+        return j
 
 
 class GeneralizedFibonacci(StepFunction):
@@ -294,3 +331,47 @@ def tabulate(lam: TimeLike, up_to_t: TimeLike) -> FibPrefix:
         j = prefix.value_at(prefix.index(size) - 1)
     """
     return _cached(lam).tabulate(up_to_t)
+
+
+def check_informed_bound(
+    lam: TimeLike, scale: int, msgs: Iterable[int], arrivals: Iterable[int]
+) -> None:
+    """The Lemma 5 certificate ``N(t) <= F_lambda(t)`` over integer ticks.
+
+    *msgs* and *arrivals* are parallel: one delivery each, its message
+    index and its arrival tick (``scale`` ticks per time unit, *scale* a
+    multiple of lambda's denominator).  The originator holds every
+    message from ``t = 0`` and is not listed.  Counting it as the first
+    arrival, the ``k``-th smallest arrival tick ``t`` of every message
+    must satisfy ``k <= F_lambda(t)``.
+
+    The informed count only matters just before each jump of
+    ``F_lambda``, so the check costs one bisect per jump and message,
+    after one sort of each message's arrivals.
+
+    Raises:
+        ScheduleError: the first violation of the lowest such message,
+            reported at the arrival that breaks the bound.
+    """
+    per_msg: dict[int, list[int]] = {}
+    for k, t in zip(msgs, arrivals):
+        per_msg.setdefault(k, []).append(t)
+    if not per_msg:
+        return
+    top = 1 + max(map(len, per_msg.values()))
+    # tabulated up to f(top): beyond it F_lambda(t) >= top >= any count
+    prefix = IntPrefix(tabulate(lam, postal_f(lam, top)), scale)
+    times, values = prefix.times, prefix.values
+    for k in sorted(per_msg):
+        ticks = sorted(per_msg[k])
+        for j in range(len(values) - 1):
+            bound = values[j]
+            if bound > len(ticks):
+                break  # F already covers everyone who ever learns M_k
+            # processors knowing M_k just before F's next jump
+            if 1 + bisect.bisect_left(ticks, times[j + 1]) > bound:
+                t = Fraction(ticks[bound - 1], scale)
+                raise ScheduleError(
+                    f"Lemma 5: {bound + 1} processors know M{k + 1} at "
+                    f"t={time_repr(t)} but F_lambda(t) = {bound}"
+                )

@@ -29,18 +29,18 @@ engine, the closed-form oracles and the :mod:`repro.core.optimal` DP.
 
 Split points ``j = F_lambda(f_lambda(size) - 1)`` come from an
 integer-rescaled copy of the one-pass
-:class:`~repro.core.fibfunc.FibPrefix` (:class:`_IntPrefix`), augmented
-with a per-size memo — the recursion revisits only ``O(log^2 n)``
-distinct subrange sizes, so split cost vanishes from the profile.
+:class:`~repro.core.fibfunc.FibPrefix`
+(:class:`~repro.core.fibfunc.IntPrefix`) with a per-size memo — the
+recursion revisits only ``O(log^2 n)`` distinct subrange sizes, so
+split cost vanishes from the profile.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from fractions import Fraction
 
 from repro.core.dtree import DTreeShape, resolve_degree
-from repro.core.fibfunc import FibPrefix, GeneralizedFibonacci, postal_f
+from repro.core.fibfunc import GeneralizedFibonacci, IntPrefix, postal_f
 from repro.core.multi import pipeline_variant
 from repro.core.schedule import Schedule, SendEvent
 from repro.errors import InvalidParameterError
@@ -58,44 +58,13 @@ __all__ = [
 ]
 
 
-class _IntPrefix:
-    """A :class:`~repro.core.fibfunc.FibPrefix` with jump times rescaled
-    to integer ticks (``scale`` ticks per time unit), plus a split memo.
-
-    ``split(size)`` is the BCAST split point ``F(f(size) - 1)`` computed
-    with two raw bisects over integer arrays — zero ``Fraction``
-    arithmetic in the builders' inner loops.
-    """
-
-    __slots__ = ("times", "values", "scale", "_memo")
-
-    def __init__(self, prefix: FibPrefix, scale: int):
-        self.times = [
-            t.numerator * (scale // t.denominator) for t in prefix.times
-        ]
-        self.values = list(prefix.values)
-        self.scale = scale
-        self._memo: dict[int, int] = {}
-
-    def split(self, size: int) -> int:
-        j = self._memo.get(size)
-        if j is None:
-            # f(size): first jump whose value reaches `size`; then F one
-            # time unit (= `scale` ticks) earlier.
-            i = bisect_left(self.values, size)
-            t = self.times[i] - self.scale
-            j = self.values[bisect_right(self.times, t) - 1]
-            self._memo[size] = j
-        return j
-
-
-def _int_prefix(lam_eff: Time, n: int) -> _IntPrefix:
+def _int_prefix(lam_eff: Time, n: int) -> IntPrefix:
     """The ``F_{lam_eff}`` prefix up to ``f_{lam_eff}(n)``, integer-
     rescaled at ``lam_eff``'s own denominator (every jump time lies on
     the grid ``{a + b*lam_eff}``, so that scale is lossless)."""
     fib = GeneralizedFibonacci(lam_eff)
     prefix = fib.tabulate(fib.index(n))
-    return _IntPrefix(prefix, lam_eff.denominator)
+    return IntPrefix(prefix, lam_eff.denominator)
 
 
 def _ticks(scale: int, value: Time) -> int:
@@ -115,7 +84,7 @@ def _ticks(scale: int, value: Time) -> int:
 
 def _bcast_keys(
     keys: list[int],
-    sp: _IntPrefix,
+    sp: IntPrefix,
     lo0: int,
     size0: int,
     t0: int,

@@ -30,8 +30,9 @@ layer comes from; the integer-only construction (no per-event
 
 The plan validates itself *in place*: :meth:`audit` runs the full postal
 certification (structure, sender-holds, duplicate/complete coverage, and
-the sort-and-sweep simultaneous-I/O port audit) directly over the
-integer columns without materializing a single event object, and
+the simultaneous-I/O port sweep) directly over the integer columns
+without materializing a single event object — the same
+:func:`audit_columns` sweep that audits a replay's realized times — and
 :meth:`replay` feeds the columns straight into the turbo event loop
 (:mod:`repro.turbo.fastsim`) without re-deriving ticks.
 
@@ -57,7 +58,7 @@ from repro.errors import (
 from repro.turbo.ticks import TickDomain, lcm_denominator
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
 
-__all__ = ["SchedulePlan"]
+__all__ = ["SchedulePlan", "audit_columns"]
 
 #: Magic prefix of the on-disk plan format (bumped on layout changes).
 _MAGIC = b"repro-plan/1\n"
@@ -321,13 +322,9 @@ class SchedulePlan:
         The same checks as :meth:`Schedule.validate
         <repro.core.schedule.Schedule.validate>` — structural ranges,
         sender-holds-message causality, duplicate and missing deliveries,
-        and the simultaneous-I/O port audit — but in pure integer
-        arithmetic with no event materialization.  Because the rows are
-        tick-sorted and every port occupation is exactly one unit
-        (``scale`` ticks), the port audit degenerates to one linear
-        sweep with a per-processor last-start array: two starts on the
-        same port collide **iff** they are less than one unit apart, and
-        sorted rows visit each port's starts in nondecreasing order.
+        and the simultaneous-I/O port audit — in pure integer arithmetic
+        with no event materialization: :func:`audit_columns` over the
+        planned times (``ticks`` and ``ticks + lambda``) in row order.
 
         Raises:
             ScheduleError: structural violation (range, causality,
@@ -335,85 +332,7 @@ class SchedulePlan:
             SimultaneousIOError: two sends (or two receives) overlap at
                 one processor.
         """
-        n, m = self.n, self.m
-        one = self.domain.scale
-        lam_ticks = self._lam_ticks
-        to_time = self.domain.to_time
-        root = self.root
-
-        # arrival tick per (proc, msg); -1 = not yet delivered
-        arrival = [-1] * (n * m)
-        for k in range(m):
-            arrival[root * m + k] = 0
-
-        send_last = [-(one + 1)] * n  # last send-start tick per processor
-        recv_last = [-(one + 1)] * n  # last recv-start tick per processor
-        recv_off = lam_ticks - one  # receive window opens at t + lam - 1
-
-        prev_tick = -1
-        for t, s, k, r in self.rows():
-            if t < prev_tick:
-                raise ScheduleError(
-                    "plan columns are not tick-sorted "
-                    f"({t} after {prev_tick})"
-                )
-            prev_tick = t
-            if not 0 <= s < n:
-                raise ScheduleError(f"sender p{s} out of range 0..{n - 1}")
-            if not 0 <= r < n:
-                raise ScheduleError(f"receiver p{r} out of range 0..{n - 1}")
-            if s == r:
-                raise ScheduleError(
-                    f"self-send at p{s} (t={time_repr(to_time(t))})"
-                )
-            if not 0 <= k < m:
-                raise ScheduleError(f"message index {k} out of range 0..{m - 1}")
-            if t < 0:
-                raise ScheduleError(f"negative send tick {t} at p{s}")
-
-            held = arrival[s * m + k]
-            if held < 0 or t < held:
-                raise ScheduleError(
-                    f"p{s} sends M{k + 1} at t={time_repr(to_time(t))} "
-                    + (
-                        "but never obtains it"
-                        if held < 0
-                        else f"but only holds it from t={time_repr(to_time(held))}"
-                    )
-                )
-            slot = r * m + k
-            if arrival[slot] >= 0:
-                raise ScheduleError(
-                    f"p{r} is sent M{k + 1} more than once "
-                    f"(second delivery at t={time_repr(to_time(t + lam_ticks))})"
-                )
-            arrival[slot] = t + lam_ticks
-
-            if t - send_last[s] < one:
-                a = to_time(send_last[s])
-                raise SimultaneousIOError(
-                    f"p{s} drives two sends at once: busy "
-                    f"[{time_repr(a)},{time_repr(a + 1)}) and "
-                    f"[{time_repr(to_time(t))},{time_repr(to_time(t) + 1)})"
-                )
-            send_last[s] = t
-            w = t + recv_off
-            if w - recv_last[r] < one:
-                a = to_time(recv_last[r])
-                raise SimultaneousIOError(
-                    f"p{r} drives two receives at once: busy "
-                    f"[{time_repr(a)},{time_repr(a + 1)}) and "
-                    f"[{time_repr(to_time(w))},{time_repr(to_time(w) + 1)})"
-                )
-            recv_last[r] = w
-
-        missing = arrival.count(-1)
-        if missing:
-            idx = arrival.index(-1)
-            raise ScheduleError(
-                f"incomplete broadcast: p{idx // m} never receives "
-                f"M{idx % m + 1} ({missing} deliveries missing)"
-            )
+        self._audit(broadcast=True)
 
     def audit_ports(self) -> None:
         """Structural + port certification for non-broadcast plans.
@@ -425,7 +344,7 @@ class SchedulePlan:
         so :meth:`audit`'s coverage and sender-holds checks do not apply.
         This method runs everything that is semantics-independent: the
         structural range checks, tick sortedness, and the same one-unit
-        sort-and-sweep send/receive port audit.
+        send/receive port sweep.
 
         Raises:
             ScheduleError: range violation, self-send, or unsorted
@@ -433,53 +352,15 @@ class SchedulePlan:
             SimultaneousIOError: two sends (or two receives) overlap at
                 one processor.
         """
-        n, m = self.n, self.m
-        one = self.domain.scale
+        self._audit(broadcast=False)
+
+    def _audit(self, *, broadcast: bool) -> None:
         lam_ticks = self._lam_ticks
-        to_time = self.domain.to_time
-
-        send_last = [-(one + 1)] * n
-        recv_last = [-(one + 1)] * n
-        recv_off = lam_ticks - one
-
-        prev_tick = -1
-        for t, s, k, r in self.rows():
-            if t < prev_tick:
-                raise ScheduleError(
-                    "plan columns are not tick-sorted "
-                    f"({t} after {prev_tick})"
-                )
-            prev_tick = t
-            if not 0 <= s < n:
-                raise ScheduleError(f"sender p{s} out of range 0..{n - 1}")
-            if not 0 <= r < n:
-                raise ScheduleError(f"receiver p{r} out of range 0..{n - 1}")
-            if s == r:
-                raise ScheduleError(
-                    f"self-send at p{s} (t={time_repr(to_time(t))})"
-                )
-            if not 0 <= k < m:
-                raise ScheduleError(f"message index {k} out of range 0..{m - 1}")
-            if t < 0:
-                raise ScheduleError(f"negative send tick {t} at p{s}")
-
-            if t - send_last[s] < one:
-                a = to_time(send_last[s])
-                raise SimultaneousIOError(
-                    f"p{s} drives two sends at once: busy "
-                    f"[{time_repr(a)},{time_repr(a + 1)}) and "
-                    f"[{time_repr(to_time(t))},{time_repr(to_time(t) + 1)})"
-                )
-            send_last[s] = t
-            w = t + recv_off
-            if w - recv_last[r] < one:
-                a = to_time(recv_last[r])
-                raise SimultaneousIOError(
-                    f"p{r} drives two receives at once: busy "
-                    f"[{time_repr(a)},{time_repr(a + 1)}) and "
-                    f"[{time_repr(to_time(w))},{time_repr(to_time(w) + 1)})"
-                )
-            recv_last[r] = w
+        arrivals = [t + lam_ticks for t in self.ticks]
+        audit_columns(
+            self, self.ticks, arrivals, range(len(arrivals)),
+            broadcast=broadcast,
+        )
 
     # -------------------------------------------------------------- replay
 
@@ -635,3 +516,143 @@ class SchedulePlan:
             family, n, m, lam, TickDomain(scale),
             cols[0], cols[1], cols[2], cols[3], root=root,
         )
+
+
+def audit_columns(
+    plan: SchedulePlan,
+    starts,
+    arrivals,
+    order,
+    *,
+    queued: bool = False,
+    broadcast: bool = True,
+) -> None:
+    """The postal-model audit of one run of *plan*: one linear sweep over
+    integer columns, with no event materialization.
+
+    Used on a plan's own times by :meth:`SchedulePlan.audit` and
+    :meth:`SchedulePlan.audit_ports`, and on a replay's realized times
+    by :meth:`ReplaySystem.audit <repro.turbo.replay.ReplaySystem.audit>`.
+
+    Args:
+        plan: the machine (``n``, ``m``, root, lambda, tick domain) and
+            the ``senders`` / ``msgs`` / ``receivers`` columns.
+        starts / arrivals: send-start and arrival tick of every plan row.
+        order: the rows in nondecreasing start order (a replay's window
+            order; ``range(len(plan))`` for the plan's own ticks).
+        queued: arrivals may come later than ``start + lambda`` (the
+            queued contention policy); otherwise they must equal it.
+        broadcast: also check single-root broadcast semantics — every
+            sender holds what it sends, nobody receives a message twice,
+            and every processor receives every message.
+
+    Every port occupation is exactly one unit (``scale`` ticks), so the
+    port audit is a gap check against a per-processor last-use array:
+    two uses of one port collide **iff** they are less than one unit
+    apart, and the sweep visits each port's uses in nondecreasing order
+    (sends by start; receives by arrival, which follows the start under
+    the strict policy and the FIFO receive queue under the queued one).
+
+    Raises:
+        ScheduleError: structural violation (range, self-send, negative
+            or unsorted start, arrival before ``start + lambda`` or — not
+            queued — after it, causality, duplicate or incomplete
+            delivery).
+        SimultaneousIOError: two sends (or two receives) overlap at one
+            processor.
+    """
+    n, m = plan.n, plan.m
+    one = plan.domain.scale
+    lam_ticks = plan.lam_ticks
+    to_time = plan.domain.to_time
+
+    # broadcast: arrival tick per (proc, msg); -1 = not yet delivered
+    held_from = [-1] * (n * m if broadcast else 0)
+    if broadcast:
+        for k in range(m):
+            held_from[plan.root * m + k] = 0
+
+    send_last = [-(one + 1)] * n  # last send-start tick per processor
+    recv_last = [-(one + 1)] * n  # last recv-start tick per processor
+
+    rows = zip(
+        map(starts.__getitem__, order),
+        map(arrivals.__getitem__, order),
+        map(plan.senders.__getitem__, order),
+        map(plan.msgs.__getitem__, order),
+        map(plan.receivers.__getitem__, order),
+    )
+    prev_tick = -1
+    for t, a, s, k, r in rows:
+        if t < prev_tick:
+            raise ScheduleError(
+                f"columns are not tick-sorted ({t} after {prev_tick})"
+            )
+        prev_tick = t
+        if not 0 <= s < n:
+            raise ScheduleError(f"sender p{s} out of range 0..{n - 1}")
+        if not 0 <= r < n:
+            raise ScheduleError(f"receiver p{r} out of range 0..{n - 1}")
+        if s == r:
+            raise ScheduleError(
+                f"self-send at p{s} (t={time_repr(to_time(t))})"
+            )
+        if not 0 <= k < m:
+            raise ScheduleError(f"message index {k} out of range 0..{m - 1}")
+        if t < 0:
+            raise ScheduleError(f"negative send tick {t} at p{s}")
+        due = t + lam_ticks
+        if a < due or (a != due and not queued):
+            raise ScheduleError(
+                f"p{s} sends M{k + 1} to p{r} at t={time_repr(to_time(t))}, "
+                f"arriving at t={time_repr(to_time(a))}: "
+                + ("before" if a < due else "not at")
+                + f" sent_at + lambda = {time_repr(to_time(due))}"
+            )
+
+        if broadcast:
+            held = held_from[s * m + k]
+            if held < 0 or t < held:
+                raise ScheduleError(
+                    f"p{s} sends M{k + 1} at t={time_repr(to_time(t))} "
+                    + (
+                        "but never obtains it"
+                        if held < 0
+                        else "but only holds it from "
+                        f"t={time_repr(to_time(held))}"
+                    )
+                )
+            slot = r * m + k
+            if held_from[slot] >= 0:
+                raise ScheduleError(
+                    f"p{r} is sent M{k + 1} more than once "
+                    f"(second delivery at t={time_repr(to_time(a))})"
+                )
+            held_from[slot] = a
+
+        if t - send_last[s] < one:
+            b = to_time(send_last[s])
+            raise SimultaneousIOError(
+                f"p{s} drives two sends at once: busy "
+                f"[{time_repr(b)},{time_repr(b + 1)}) and "
+                f"[{time_repr(to_time(t))},{time_repr(to_time(t) + 1)})"
+            )
+        send_last[s] = t
+        w = a - one  # the receive window opens one unit before arrival
+        if w - recv_last[r] < one:
+            b = to_time(recv_last[r])
+            raise SimultaneousIOError(
+                f"p{r} drives two receives at once: busy "
+                f"[{time_repr(b)},{time_repr(b + 1)}) and "
+                f"[{time_repr(to_time(w))},{time_repr(to_time(w) + 1)})"
+            )
+        recv_last[r] = w
+
+    if broadcast:
+        missing = held_from.count(-1)
+        if missing:
+            idx = held_from.index(-1)
+            raise ScheduleError(
+                f"incomplete broadcast: p{idx // m} never receives "
+                f"M{idx % m + 1} ({missing} deliveries missing)"
+            )

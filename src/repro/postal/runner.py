@@ -9,7 +9,7 @@ time, run metrics folded live from the trace stream
 (:class:`~repro.obs.metrics.RunMetrics`), and the finished system for
 trace/port inspection.
 
-Two execution lanes share this entry point:
+Three execution lanes share this entry point:
 
 * ``backend="exact"`` (default) — the general discrete-event engine
   (:mod:`repro.sim.engine`): ``Fraction`` clock, generator processes,
@@ -27,11 +27,16 @@ Two execution lanes share this entry point:
   (:mod:`repro.turbo.replay`): the protocol is *compiled* to a columnar
   :class:`~repro.plan.columns.SchedulePlan` (cached across runs by
   :func:`repro.plan.build_plan`) and executed as batched column passes —
-  no event queue, no generators.  Machine-level results (schedule,
-  completion, sends, ports, metrics) are byte-identical to the other
-  lanes (pinned by ``tests/test_replay_equivalence.py``); only protocols
-  with a registered plan compiler and uniform latency qualify, anything
-  else raises :class:`~repro.errors.InvalidParameterError`.
+  no event queue, no generators — then audited and measured on its
+  integer columns.  The schedule, completion, sends and ports are
+  byte-identical to the other lanes (pinned by
+  ``tests/test_replay_equivalence.py``).  The metrics differ only where
+  a replay has nothing to count: no protocol program consumes a
+  delivery, so ``total_consumed`` is 0, ``max_inbox_wait`` is ``None``
+  and every inbox high-water mark and residual equals the processor's
+  receive count.  Only protocols with a registered plan compiler and
+  uniform latency qualify; anything else raises
+  :class:`~repro.errors.InvalidParameterError`.
 """
 
 from __future__ import annotations
@@ -343,8 +348,21 @@ def _run_protocol_replay(
     The protocol is not *stepped* at all: its family/parameters select a
     compiled (and cached) :class:`~repro.plan.columns.SchedulePlan`,
     which :func:`~repro.turbo.replay.replay_plan` executes as batched
-    column passes.  The audit path is the same duck-typed
-    ``validate_run`` / ``audit_ports`` code the other lanes use.
+    column passes.  Everything after the kernel reads the two realized
+    integer columns (``starts``, ``arrivals``) directly:
+
+    * the audit is :meth:`ReplaySystem.audit
+      <repro.turbo.replay.ReplaySystem.audit>` — one linear tick sweep
+      over the postal model plus, for broadcasts, the Lemma 5 and
+      Lemma 8 certificates;
+    * the metrics are :meth:`ReplaySystem.run_metrics
+      <repro.turbo.replay.ReplaySystem.run_metrics>`, counted per
+      processor;
+    * completion and sends are the system's column maximum and row count.
+
+    No trace record is built unless someone reads ``result.system.tracer``
+    (``validate_run``, ``collect_metrics`` and the exporters still work
+    on it).  The realized schedule stays eager for strict broadcasts.
     """
     from repro.plan import build_plan, canonical_family, plan_m
     from repro.turbo.replay import replay_plan
@@ -382,37 +400,18 @@ def _run_protocol_replay(
         )
 
     is_broadcast = getattr(protocol, "semantics", "broadcast") == "broadcast"
-    strict = policy is ContentionPolicy.STRICT
-
+    if validate:
+        system.audit(broadcast=is_broadcast)
     schedule: Schedule | None = None
-    if is_broadcast and strict:
-        if validate:
-            system.flush_trace()
-            schedule = validate_run(system, m=protocol.m, root=protocol.root)
-        else:
-            schedule = system.realized_schedule(
-                m=protocol.m, root=protocol.root, validate=False
-            )
-        completion = schedule.completion_time()
-        sends = len(schedule)
-    else:
-        if validate:
-            system.flush_trace()
-            audit_ports(system)
-        completion = system.completion_time
-        sends = system.send_count
-
-    metrics: RunMetrics | None = None
-    if collect:
-        collector = MetricsCollector()
-        for rec in system.flush_trace():
-            collector.on_record(rec)
-        metrics = collector.finalize(n=system.n, lam=system.lam)
+    if is_broadcast and policy is ContentionPolicy.STRICT:
+        schedule = system.realized_schedule(
+            m=protocol.m, root=protocol.root, validate=False
+        )
     return ProtocolResult(
         schedule=schedule,
-        completion_time=completion,
+        completion_time=system.completion_time,
         system=system,
-        sends=sends,
-        metrics=metrics,
+        sends=system.send_count,
+        metrics=system.run_metrics() if collect else None,
         profile=None,
     )

@@ -23,18 +23,27 @@ queue, no callbacks, no generators:
    violation in window order raises the byte-identical
    :class:`~repro.errors.SimultaneousIOError`); the queued policy
    serializes FIFO, ``arrival = max(window, recv_free) + 1``.
-4. **Views on demand** — completion is the arrival maximum; schedules,
-   port busy intervals, and trace records are materialized lazily from
-   the ``starts`` / ``arrivals`` arrays.
+4. **Audit, metrics and views on the columns** — the audit
+   (:meth:`ReplaySystem.audit`: one linear tick sweep plus, for
+   broadcasts, the Lemma 5 and Lemma 8 certificates) and the run
+   metrics (:meth:`ReplaySystem.run_metrics`, by counting) read the
+   ``starts`` / ``arrivals`` arrays directly; completion is the arrival
+   maximum.  The schedule, port busy intervals and trace records are
+   materialized from the same arrays on demand — the trace on the first
+   read of :attr:`ReplaySystem.tracer`.
 
 The result is **byte-identical** to running the same plan through
 ``SchedulePlan.replay()`` on the turbo event loop: the same realized
 schedule, completion time, send count, port busy intervals, trace-record
 sequence, and the same exception at the same first collision.
 ``tests/test_replay_equivalence.py`` pins all of that, plus machine-level
-equivalence (schedule / completion / sends / ports / metrics) against
-full ``exact`` and ``turbo`` protocol runs across every registered
-family.
+equivalence (schedule / completion / sends) against full ``exact`` and
+``turbo`` protocol runs across every registered family.  The metrics
+equal a protocol run's except where consumption shows: no program
+consumes a delivery in a replay, so ``total_consumed`` is 0,
+``max_inbox_wait`` is ``None`` and every inbox high-water mark and
+residual equals the processor's receive count
+(``tests/test_replay_audit.py``).
 
 When NumPy is installed (the ``repro[speed]`` extra) the three passes
 run as whole-column kernels from :mod:`repro.batch.kernels` over
@@ -49,12 +58,17 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from operator import itemgetter
+from collections import Counter
+from fractions import Fraction
+from operator import itemgetter, sub
 
 from repro.batch.kernels import replay_passes
 
+from repro.core.analysis import multi_lower_bound
+from repro.core.fibfunc import check_informed_bound
 from repro.core.schedule import Schedule, SendEvent
-from repro.errors import ModelError, SimultaneousIOError
+from repro.errors import ModelError, ScheduleError, SimultaneousIOError
+from repro.obs.metrics import RunMetrics
 from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
@@ -156,7 +170,9 @@ def replay_plan(plan, *, policy: ContentionPolicy = ContentionPolicy.STRICT):
 class ReplaySystem:
     """A finished vectorized replay, duck-typing the validator- and
     collector-facing surface of :class:`~repro.turbo.fastsim.TurboSystem`
-    (``flush_trace`` / ``realized_schedule`` / port views / counters).
+    (``tracer`` / ``flush_trace`` / ``realized_schedule`` / port views /
+    counters), plus the columnar :meth:`audit` and :meth:`run_metrics`
+    the ``backend="replay"`` lane uses instead of them.
 
     There are no protocol programs in a replay, so no messages are ever
     consumed — like ``SchedulePlan.replay()`` on the event loop, every
@@ -167,28 +183,26 @@ class ReplaySystem:
     __slots__ = (
         "plan",
         "queued_contention",
-        "tracer",
         "domain",
         "_policy",
         "_one",
         "_starts",
         "_arrivals",
         "_order",
-        "_flushed",
+        "_tracer",
         "_send_views",
         "_recv_views",
     )
 
     def __init__(self, plan, policy, starts, arrivals, order):
         self.plan = plan
-        self.tracer = Tracer()
         self.domain = plan.domain
         self._policy = policy
         self._one = plan.domain.scale
         self._starts = starts
         self._arrivals = arrivals
         self._order = order
-        self._flushed = False
+        self._tracer = None
         self._send_views = None
         self._recv_views = None
         #: Whether the queued booking pass had to delay any receive — a
@@ -271,16 +285,124 @@ class ReplaySystem:
             plan.n, plan.lam, events, m=m, root=root, validate=validate
         )
 
+    # ------------------------------------------- audit and metrics, columnar
+
+    def audit(self, *, broadcast: bool = True) -> None:
+        """Audit the realized run on its integer columns, with no trace.
+
+        One :func:`~repro.plan.columns.audit_columns` sweep in window
+        order checks the postal model (Definitions 1-2): ranges,
+        ``arrival == start + lambda`` (``>=`` under the queued policy),
+        a one-unit gap between uses of every send and receive port, and,
+        for *broadcast* semantics, possession, single delivery and full
+        coverage.  A broadcast run then carries the paper's certificates:
+        Lemma 5 (:func:`~repro.core.fibfunc.check_informed_bound`) and
+        Lemma 8 (completion at least ``(m-1) + f_lambda(n)``).
+
+        Raises:
+            ScheduleError: a structural, causality or coverage violation,
+                or a failed certificate.
+            SimultaneousIOError: two uses of one port overlap.
+        """
+        # local: repro.plan.columns imports repro.turbo (the tick domain)
+        from repro.plan.columns import audit_columns
+
+        plan = self.plan
+        audit_columns(
+            plan,
+            self._starts,
+            self._arrivals,
+            self._order,
+            queued=self._policy is not ContentionPolicy.STRICT,
+            broadcast=broadcast,
+        )
+        if not broadcast:
+            return
+        check_informed_bound(plan.lam, self._one, plan.msgs, self._arrivals)
+        bound = multi_lower_bound(plan.n, plan.m, plan.lam)
+        completion = self.completion_time
+        if completion < bound:
+            raise ScheduleError(
+                f"Lemma 8: makespan {time_repr(completion)} beats the lower "
+                f"bound (m-1) + f_lambda(n) = {time_repr(bound)}"
+            )
+
+    def run_metrics(self) -> RunMetrics:
+        """The run's :class:`~repro.obs.metrics.RunMetrics`, counted on the
+        columns.  Equal to folding :attr:`tracer` through a
+        :class:`~repro.obs.metrics.MetricsCollector`, without building it.
+
+        A replay consumes nothing, so inboxes only fill: each high-water
+        mark and residual equals the processor's receive count,
+        ``total_consumed`` is 0 and ``max_inbox_wait`` is ``None``.
+        """
+        plan = self.plan
+        rows = len(self._starts)
+        makespan = self.completion_time
+        sent = [0] * plan.n
+        for p in plan.senders:
+            sent[p] += 1
+        got = [0] * plan.n
+        for p in plan.receivers:
+            got[p] += 1
+        sends, receives = tuple(sent), tuple(got)
+        # one Fraction per distinct count
+        busy = {c: Fraction(c) for c in {*sends, *receives}}
+        util = {c: b / makespan if makespan else ZERO for c, b in busy.items()}
+        latencies = sorted(Counter(map(sub, self._arrivals, self._starts)).items())
+        to_time = self.domain.to_time
+        histogram = tuple((to_time(lat), count) for lat, count in latencies)
+        return RunMetrics(
+            n=plan.n,
+            lam=plan.lam,
+            makespan=makespan,
+            total_sends=rows,
+            total_deliveries=rows,
+            total_consumed=0,
+            total_drops=0,
+            sends=sends,
+            receives=receives,
+            send_busy=tuple(map(busy.__getitem__, sends)),
+            recv_busy=tuple(map(busy.__getitem__, receives)),
+            send_utilization=tuple(map(util.__getitem__, sends)),
+            recv_utilization=tuple(map(util.__getitem__, receives)),
+            inbox_high_water=receives,
+            inbox_residual=receives,
+            latency_histogram=histogram,
+            min_latency=histogram[0][0] if rows else None,
+            max_latency=histogram[-1][0] if rows else None,
+            mean_latency=(
+                Fraction(
+                    sum(lat * count for lat, count in latencies),
+                    self._one * rows,
+                )
+                if rows
+                else None
+            ),
+            max_inbox_wait=None,
+        )
+
     # ------------------------------------------------------ validator views
+
+    @property
+    def tracer(self) -> Tracer:
+        """The replay's trace, materialized on first read (see
+        :meth:`flush_trace`)."""
+        return self._trace()
 
     def flush_trace(self) -> Tracer:
         """Materialize the replay into :attr:`tracer` (idempotent), in the
         byte-identical record order the event loop would produce: entries
         appear in execution order (sends at their plan tick before
         deliveries at the same instant), stable-sorted by record time."""
-        if self._flushed:
-            return self.tracer
-        self._flushed = True
+        return self._trace()
+
+    def _trace(self) -> Tracer:
+        # the one builder behind both `tracer` and `flush_trace`, so a
+        # wrapper around either may read the other without recursing
+        if self._tracer is not None:
+            return self._tracer
+        tracer = self._tracer = Tracer()
         plan = self.plan
         starts = self._starts
         arrivals = self._arrivals
@@ -298,7 +420,7 @@ class ReplaySystem:
                 starts[item[2]] if item[1] == 0 else arrivals[order[item[2]]]
             )
         )
-        emit = self.tracer.emit
+        emit = tracer.emit
         to_time = self.domain.to_time
         senders, msgs, receivers = plan.senders, plan.msgs, plan.receivers
         for _, cls, o in items:
@@ -319,7 +441,7 @@ class ReplaySystem:
                     None,
                 )
                 emit(record.arrived_at, "deliver", record)
-        return self.tracer
+        return tracer
 
     def _build_port_views(self) -> None:
         plan = self.plan
