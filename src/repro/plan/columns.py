@@ -46,11 +46,13 @@ from __future__ import annotations
 import json
 import sys
 from array import array
-from typing import Iterator
+from itertools import repeat
+from typing import Iterator, NoReturn
 
 from repro.core.schedule import Schedule, SendEvent
 from repro.errors import (
     InvalidParameterError,
+    ModelError,
     PlanCacheError,
     ScheduleError,
     SimultaneousIOError,
@@ -358,8 +360,10 @@ class SchedulePlan:
         lam_ticks = self._lam_ticks
         arrivals = [t + lam_ticks for t in self.ticks]
         audit_columns(
-            self, self.ticks, arrivals, range(len(arrivals)),
-            broadcast=broadcast,
+            self.senders, self.msgs, self.receivers,
+            self.ticks, arrivals, range(len(arrivals)),
+            n=self.n, domain=self.domain, lam_ticks=lam_ticks, m=self.m,
+            root=self.root, broadcast=broadcast,
         )
 
     # -------------------------------------------------------------- replay
@@ -519,71 +523,99 @@ class SchedulePlan:
 
 
 def audit_columns(
-    plan: SchedulePlan,
+    senders,
+    msgs,
+    receivers,
     starts,
     arrivals,
     order,
     *,
-    queued: bool = False,
+    n: int,
+    domain: TickDomain,
+    lam_ticks: int,
+    m: "int | None" = None,
+    root: ProcId = 0,
     broadcast: bool = True,
+    queued: bool = False,
+    fifo: bool = False,
+    lats=None,
+    windows=None,
 ) -> None:
-    """The postal-model audit of one run of *plan*: one linear sweep over
-    integer columns, with no event materialization.
+    """The postal-model audit of one run: one linear sweep over integer
+    columns, with no event materialization.
 
     Used on a plan's own times by :meth:`SchedulePlan.audit` and
-    :meth:`SchedulePlan.audit_ports`, and on a replay's realized times
-    by :meth:`ReplaySystem.audit <repro.turbo.replay.ReplaySystem.audit>`.
+    :meth:`SchedulePlan.audit_ports`, and on a run's realized times by
+    :meth:`ReplaySystem.audit <repro.turbo.replay.ReplaySystem.audit>`
+    and :meth:`TurboSystem.audit <repro.turbo.fastsim.TurboSystem.audit>`.
 
     Args:
-        plan: the machine (``n``, ``m``, root, lambda, tick domain) and
-            the ``senders`` / ``msgs`` / ``receivers`` columns.
-        starts / arrivals: send-start and arrival tick of every plan row.
-        order: the rows in nondecreasing start order (a replay's window
-            order; ``range(len(plan))`` for the plan's own ticks).
-        queued: arrivals may come later than ``start + lambda`` (the
-            queued contention policy); otherwise they must equal it.
+        senders / msgs / receivers / starts / arrivals: per-row columns
+            (any sequences indexed alike): who sends which message to
+            whom, its send-start tick and its arrival tick.
+        order: the rows to audit, in nondecreasing start order.
+        n / domain / lam_ticks: the machine — processor count, tick grid
+            and ``lambda`` in ticks.
+        m: message ids must lie in ``0..m-1``; ``None`` leaves them
+            unbounded (a collective's ids need not fit the protocol's
+            ``m``).  Broadcast runs need it.
+        root: the broadcast originator.
         broadcast: also check single-root broadcast semantics — every
             sender holds what it sends, nobody receives a message twice,
             and every processor receives every message.
+        queued: arrivals may come later than their due tick (the queued
+            contention policy); otherwise they must equal it.
+        fifo: (queued) every arrival must also be the work-conserving
+            FIFO completion ``max(due, previous arrival at that receiver
+            + 1)`` — a late delivery needs port contention to blame.
+        lats: per-row latency in ticks (pair-dependent latency); ``None``
+            means ``lam_ticks`` for every row.  A row is due at its start
+            plus its latency.
+        windows: the rows in receive-window order, when it differs from
+            *order* (pair-dependent latency); the receive-port checks
+            visit each receiver's rows in this order.
 
     Every port occupation is exactly one unit (``scale`` ticks), so the
     port audit is a gap check against a per-processor last-use array:
     two uses of one port collide **iff** they are less than one unit
     apart, and the sweep visits each port's uses in nondecreasing order
-    (sends by start; receives by arrival, which follows the start under
-    the strict policy and the FIFO receive queue under the queued one).
+    (sends by start; receives in window order, in which a receiver's
+    arrivals follow the strict policy's fixed latency or the queued
+    policy's FIFO receive queue).
 
     Raises:
         ScheduleError: structural violation (range, self-send, negative
-            or unsorted start, arrival before ``start + lambda`` or — not
+            or unsorted start, arrival before its due tick or — not
             queued — after it, causality, duplicate or incomplete
             delivery).
         SimultaneousIOError: two sends (or two receives) overlap at one
             processor.
+        ModelError: (*fifo*) a queued arrival later than its port's
+            contention explains.
     """
-    n, m = plan.n, plan.m
-    one = plan.domain.scale
-    lam_ticks = plan.lam_ticks
-    to_time = plan.domain.to_time
+    one = domain.scale
+    to_time = domain.to_time
 
     # broadcast: arrival tick per (proc, msg); -1 = not yet delivered
     held_from = [-1] * (n * m if broadcast else 0)
     if broadcast:
         for k in range(m):
-            held_from[plan.root * m + k] = 0
+            held_from[root * m + k] = 0
 
     send_last = [-(one + 1)] * n  # last send-start tick per processor
-    recv_last = [-(one + 1)] * n  # last recv-start tick per processor
+    recv_last = [-(one + 1)] * n  # last arrival tick per processor
+    recv_here = windows is None  # receive ports in this pass too
 
     rows = zip(
         map(starts.__getitem__, order),
         map(arrivals.__getitem__, order),
-        map(plan.senders.__getitem__, order),
-        map(plan.msgs.__getitem__, order),
-        map(plan.receivers.__getitem__, order),
+        repeat(lam_ticks) if lats is None else map(lats.__getitem__, order),
+        map(senders.__getitem__, order),
+        map(msgs.__getitem__, order),
+        map(receivers.__getitem__, order),
     )
     prev_tick = -1
-    for t, a, s, k, r in rows:
+    for t, a, lat, s, k, r in rows:
         if t < prev_tick:
             raise ScheduleError(
                 f"columns are not tick-sorted ({t} after {prev_tick})"
@@ -597,11 +629,11 @@ def audit_columns(
             raise ScheduleError(
                 f"self-send at p{s} (t={time_repr(to_time(t))})"
             )
-        if not 0 <= k < m:
+        if m is not None and not 0 <= k < m:
             raise ScheduleError(f"message index {k} out of range 0..{m - 1}")
         if t < 0:
             raise ScheduleError(f"negative send tick {t} at p{s}")
-        due = t + lam_ticks
+        due = t + lat
         if a < due or (a != due and not queued):
             raise ScheduleError(
                 f"p{s} sends M{k + 1} to p{r} at t={time_repr(to_time(t))}, "
@@ -638,15 +670,28 @@ def audit_columns(
                 f"[{time_repr(to_time(t))},{time_repr(to_time(t) + 1)})"
             )
         send_last[s] = t
-        w = a - one  # the receive window opens one unit before arrival
-        if w - recv_last[r] < one:
-            b = to_time(recv_last[r])
-            raise SimultaneousIOError(
-                f"p{r} drives two receives at once: busy "
-                f"[{time_repr(b)},{time_repr(b + 1)}) and "
-                f"[{time_repr(to_time(w))},{time_repr(to_time(w) + 1)})"
-            )
-        recv_last[r] = w
+        if recv_here:
+            p = recv_last[r]
+            if a - p < one:
+                _receive_collision(r, p, a, domain)
+            if fifo and a != due and a != p + one:
+                _idle_receive(r, p, a, due, domain)
+            recv_last[r] = a
+
+    if not recv_here:
+        rows = zip(
+            map(starts.__getitem__, windows),
+            map(lats.__getitem__, windows),
+            map(arrivals.__getitem__, windows),
+            map(receivers.__getitem__, windows),
+        )
+        for t, lat, a, r in rows:
+            p = recv_last[r]
+            if a - p < one:
+                _receive_collision(r, p, a, domain)
+            if fifo and a != t + lat and a != p + one:
+                _idle_receive(r, p, a, t + lat, domain)
+            recv_last[r] = a
 
     if broadcast:
         missing = held_from.count(-1)
@@ -656,3 +701,31 @@ def audit_columns(
                 f"incomplete broadcast: p{idx // m} never receives "
                 f"M{idx % m + 1} ({missing} deliveries missing)"
             )
+
+
+def _receive_collision(
+    r: ProcId, prev: int, a: int, domain: TickDomain
+) -> NoReturn:
+    """Raise for two receive windows at *r* less than one unit apart
+    (the windows close at arrival ticks *prev* and *a*)."""
+    b = domain.to_time(prev) - 1
+    w = domain.to_time(a) - 1
+    raise SimultaneousIOError(
+        f"p{r} drives two receives at once: busy "
+        f"[{time_repr(b)},{time_repr(b + 1)}) and "
+        f"[{time_repr(w)},{time_repr(w + 1)})"
+    )
+
+
+def _idle_receive(
+    r: ProcId, prev: int, a: int, due: int, domain: TickDomain
+) -> NoReturn:
+    """Raise for a queued arrival at *r* that the receive port's FIFO
+    queue does not explain: it idled while the message waited."""
+    to_time = domain.to_time
+    expected = max(due, prev + domain.scale)
+    raise ModelError(
+        f"p{r}: queued arrival at t={time_repr(to_time(a))} is not the "
+        f"work-conserving FIFO completion of its due time (expected "
+        f"t={time_repr(to_time(expected))})"
+    )

@@ -17,8 +17,8 @@ Three execution lanes share this entry point:
 * ``backend="turbo"`` — the integer-tick fast lane
   (:mod:`repro.turbo.fastsim`): the run's rational times are losslessly
   rescaled to ``int`` ticks, deliveries are direct calendar-queue
-  callbacks, and trace records are materialized only when validation or
-  metrics ask.  Results are bit-identical to the exact lane for every
+  callbacks, and the run is audited and measured on the integer columns
+  of its run log.  Results are bit-identical to the exact lane for every
   registered protocol family (pinned by
   ``tests/test_turbo_equivalence.py``); a protocol whose delays leave
   the tick grid raises :class:`~repro.errors.TickDomainError` instead of
@@ -37,11 +37,22 @@ Three execution lanes share this entry point:
   receive count.  Only protocols with a registered plan compiler and
   uniform latency qualify; anything else raises
   :class:`~repro.errors.InvalidParameterError`.
+
+The exact lane audits its trace (:func:`~repro.postal.validator.
+validate_run`, :func:`~repro.postal.validator.audit_ports`) and folds
+its metrics live (:class:`~repro.obs.metrics.MetricsCollector`) — the
+independent witness.  The turbo and replay lanes end in one columnar
+tail, :func:`_finish`: the system's ``audit`` (one integer sweep plus,
+for broadcasts, the Lemma 5 and Lemma 8 certificates), its counted
+``run_metrics``, and completion and sends read off the columns.  Their
+trace is built only when someone reads ``result.system.tracer``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
+from typing import TYPE_CHECKING
 
 from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
@@ -52,6 +63,9 @@ from repro.postal.validator import audit_ports, schedule_from_trace, validate_ru
 from repro.sim.engine import Environment
 from repro.sim.trace import Tracer
 from repro.types import Time, ZERO
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.turbo.fastsim import TurboSystem
 
 __all__ = ["ProtocolResult", "run_protocol"]
 
@@ -101,8 +115,9 @@ class ProtocolResult:
         completion_time: arrival of the last message.
         system: the (finished) postal system, for trace/port inspection.
         sends: total number of messages transmitted.
-        metrics: exact run metrics folded from the trace stream
-            (``None`` when collected with ``collect=False``).
+        metrics: exact run metrics — folded from the trace stream on
+            the exact lane, counted on the integer columns on the turbo
+            and replay lanes (``None`` when run with ``collect=False``).
         profile: engine profiling summary (``None`` unless requested
             with ``profile=True``).
     """
@@ -143,8 +158,9 @@ def run_protocol(
             *lam* from the keyword arguments).
         policy: receive-port contention policy.
         validate: audit the run against the postal model.
-        collect: attach a live :class:`~repro.obs.metrics.
-            MetricsCollector` and populate ``result.metrics``.
+        collect: populate ``result.metrics`` (the exact lane attaches a
+            live :class:`~repro.obs.metrics.MetricsCollector`; the turbo
+            and replay lanes count on their columns).
         profile: install an :class:`~repro.obs.profile.EngineProfiler`
             and populate ``result.profile`` (exact backend only).
         backend: ``"exact"`` for the general engine, ``"turbo"`` for the
@@ -251,67 +267,82 @@ def _run_protocol_turbo(
 ) -> ProtocolResult:
     """The ``backend="turbo"`` lane of :func:`run_protocol`.
 
-    Identical control flow, different substrate: the protocol's programs
-    drive a :class:`~repro.turbo.fastsim.TurboSystem` whose clock is
-    integer ticks.  The audit path is byte-for-byte the same code
-    (``validate_run`` / ``audit_ports`` duck-type the turbo system), fed
-    from trace records materialized on demand by ``flush_trace`` — so a
-    ``validate=False, collect=False`` run never builds a single
-    :class:`~repro.sim.trace.TraceRecord`.
+    The protocol's programs drive a
+    :class:`~repro.turbo.fastsim.TurboSystem` whose clock is integer
+    ticks (:func:`_run_turbo`); the run is then audited and measured on
+    its run-log columns by the shared tail (:func:`_finish`), so a
+    default call builds no :class:`~repro.sim.trace.TraceRecord`.
     """
-    from repro.turbo.fastsim import build_turbo
-
     if profile:
         raise InvalidParameterError(
             "engine profiling requires backend='exact' (the turbo loop has "
             "no per-event step hook to instrument)"
         )
-    latency_fn = getattr(protocol, "latency_fn", None)
+    system = _run_turbo(protocol, policy)
+    return _finish(
+        system,
+        protocol,
+        partial(system.audit, m=protocol.m, root=protocol.root),
+        policy=policy,
+        validate=validate,
+        collect=collect,
+    )
+
+
+def _run_turbo(protocol, policy: ContentionPolicy) -> "TurboSystem":
+    """Build a turbo system for *protocol*, start its programs and run
+    them to quiescence; returns the finished
+    :class:`~repro.turbo.fastsim.TurboSystem`."""
+    from repro.turbo.fastsim import build_turbo
+
     system = build_turbo(
-        protocol.n, protocol.lam, policy=policy, latency=latency_fn
+        protocol.n,
+        protocol.lam,
+        policy=policy,
+        latency=getattr(protocol, "latency_fn", None),
     )
     for proc in range(protocol.n):
         gen = protocol.program(proc, system)
         if gen is not None:
             system.env.process(gen)
     system.env.run()
+    return system
 
-    is_broadcast = (
+
+def _finish(
+    system,
+    protocol,
+    audit,
+    *,
+    policy: ContentionPolicy,
+    validate: bool,
+    collect: bool,
+) -> ProtocolResult:
+    """The columnar tail of the turbo and replay lanes.
+
+    *audit* is the finished *system*'s ``audit`` (bound to the
+    protocol's broadcast when the system cannot know it).  Completion
+    and sends come from the system's columns under both *validate*
+    settings; strict uniform broadcasts also get their realized
+    schedule, eagerly.
+    """
+    broadcast = (
         getattr(protocol, "semantics", "broadcast") == "broadcast"
-        and latency_fn is None
+        and getattr(protocol, "latency_fn", None) is None
     )
-    strict = policy is ContentionPolicy.STRICT
-
+    if validate:
+        audit(broadcast=broadcast)
     schedule: Schedule | None = None
-    if is_broadcast and strict:
-        if validate:
-            system.flush_trace()
-            schedule = validate_run(system, m=protocol.m, root=protocol.root)
-        else:
-            schedule = system.realized_schedule(
-                m=protocol.m, root=protocol.root, validate=False
-            )
-        completion = schedule.completion_time()
-        sends = len(schedule)
-    else:
-        if validate:
-            system.flush_trace()
-            audit_ports(system)
-        completion = system.completion_time
-        sends = system.send_count
-
-    metrics: RunMetrics | None = None
-    if collect:
-        collector = MetricsCollector()
-        for rec in system.flush_trace():
-            collector.on_record(rec)
-        metrics = collector.finalize(n=system.n, lam=system.lam)
+    if broadcast and policy is ContentionPolicy.STRICT:
+        schedule = system.realized_schedule(
+            m=protocol.m, root=protocol.root, validate=False
+        )
     return ProtocolResult(
         schedule=schedule,
-        completion_time=completion,
+        completion_time=system.completion_time,
         system=system,
-        sends=sends,
-        metrics=metrics,
+        sends=system.send_count,
+        metrics=system.run_metrics() if collect else None,
         profile=None,
     )
 
@@ -348,21 +379,13 @@ def _run_protocol_replay(
     The protocol is not *stepped* at all: its family/parameters select a
     compiled (and cached) :class:`~repro.plan.columns.SchedulePlan`,
     which :func:`~repro.turbo.replay.replay_plan` executes as batched
-    column passes.  Everything after the kernel reads the two realized
-    integer columns (``starts``, ``arrivals``) directly:
-
-    * the audit is :meth:`ReplaySystem.audit
-      <repro.turbo.replay.ReplaySystem.audit>` — one linear tick sweep
-      over the postal model plus, for broadcasts, the Lemma 5 and
-      Lemma 8 certificates;
-    * the metrics are :meth:`ReplaySystem.run_metrics
-      <repro.turbo.replay.ReplaySystem.run_metrics>`, counted per
-      processor;
-    * completion and sends are the system's column maximum and row count.
-
-    No trace record is built unless someone reads ``result.system.tracer``
-    (``validate_run``, ``collect_metrics`` and the exporters still work
-    on it).  The realized schedule stays eager for strict broadcasts.
+    column passes.  The shared tail (:func:`_finish`) then reads the two
+    realized integer columns (``starts``, ``arrivals``) directly:
+    :meth:`ReplaySystem.audit <repro.turbo.replay.ReplaySystem.audit>`,
+    :meth:`ReplaySystem.run_metrics
+    <repro.turbo.replay.ReplaySystem.run_metrics>`, and the column
+    maximum and row count.  No trace record is built unless someone
+    reads ``result.system.tracer``.
     """
     from repro.plan import build_plan, canonical_family, plan_m
     from repro.turbo.replay import replay_plan
@@ -399,19 +422,11 @@ def _run_protocol_replay(
             "where the protocol would reschedule); use backend='turbo'"
         )
 
-    is_broadcast = getattr(protocol, "semantics", "broadcast") == "broadcast"
-    if validate:
-        system.audit(broadcast=is_broadcast)
-    schedule: Schedule | None = None
-    if is_broadcast and policy is ContentionPolicy.STRICT:
-        schedule = system.realized_schedule(
-            m=protocol.m, root=protocol.root, validate=False
-        )
-    return ProtocolResult(
-        schedule=schedule,
-        completion_time=system.completion_time,
-        system=system,
-        sends=system.send_count,
-        metrics=system.run_metrics() if collect else None,
-        profile=None,
+    return _finish(
+        system,
+        protocol,
+        system.audit,
+        policy=policy,
+        validate=validate,
+        collect=collect,
     )

@@ -178,6 +178,7 @@ class FaultyTurboSystem(TurboSystem):
             self.retransmissions += 1
         else:
             self._sent_keys.add(key)
+        row = len(self._log.codes)
         self._lg_code(_SEND_RT if retransmit else _SEND)
         self._lg_tick(start)
         self._lg_a(src)
@@ -198,12 +199,16 @@ class FaultyTurboSystem(TurboSystem):
             return done
         lat = self._latency_ticks(src, dst) + jitter
         book = self._book_strict if self._strict else self._book_queued
-        env._push(start + lat - one, self._window, book, start, src, dst, msg, payload)
+        env._push(
+            start + lat - one, self._window, book, row, start, src, dst, msg,
+            payload,
+        )
         return done
 
     def _window(
         self,
         book: Callable,
+        row: int,
         start: int,
         src: ProcId,
         dst: ProcId,
@@ -220,7 +225,7 @@ class FaultyTurboSystem(TurboSystem):
             self._lg_b(dst)
             self._lg_c(msg)
             return
-        book(start, src, dst, msg, payload)
+        book(row, start, src, dst, msg, payload)
 
     # ------------------------------------------------------ validator views
 
@@ -231,57 +236,18 @@ class FaultyTurboSystem(TurboSystem):
             "repro.resilience.certify instead"
         )
 
-    def flush_trace(self) -> Tracer:
-        """Materialize the fault-extended compact log (idempotent).
+    def audit(self, *, broadcast: bool = True, m: int = 1, root: int = 0) -> None:
+        raise ModelError(
+            "a fault-injected run drops and retransmits, which the column "
+            "audit does not model; audit it via port views, delivery "
+            "records, and repro.resilience.certify instead"
+        )
 
-        ``send`` records carry ``retransmit: True`` when the triple was
-        already sent; ``drop`` records carry ``reason: "loss"|"crash"``.
-        """
-        if self._flushed:
-            return self.tracer
-        self._flushed = True
-        emit = self.tracer.emit
-        to_time = self.domain.to_time
-        log = self._log
-        codes, ticks = log.codes, log.ticks
-        col_a, col_b, col_c = log.a, log.b, log.c
-        objs = log.objs
-        for i in log.order_by_tick():
-            code = codes[i]
-            if code == _SEND or code == _SEND_RT:
-                data = {"src": col_a[i], "dst": col_b[i], "msg": col_c[i]}
-                if code == _SEND_RT:
-                    data["retransmit"] = True
-                emit(to_time(ticks[i]), "send", data)
-            elif code == _DELIVER:
-                record = objs[col_a[i]]
-                emit(record.arrived_at, "deliver", record)
-            elif code == DROP_LOSS or code == DROP_CRASH:
-                reason = "loss" if code == DROP_LOSS else "crash"
-                emit(
-                    to_time(ticks[i]),
-                    "drop",
-                    {
-                        "src": col_a[i],
-                        "dst": col_b[i],
-                        "msg": col_c[i],
-                        "reason": reason,
-                    },
-                )
-            else:  # _CONSUME
-                record = objs[col_a[i]]
-                now = to_time(ticks[i])
-                emit(
-                    now,
-                    "consume",
-                    {
-                        "proc": col_b[i],
-                        "msg": record.msg,
-                        "src": record.src,
-                        "waited": now - record.arrived_at,
-                    },
-                )
-        return self.tracer
+    def run_metrics(self):
+        raise ModelError(
+            "a fault-injected run is measured from its trace (drops "
+            "included); fold flush_trace() through a MetricsCollector"
+        )
 
 
 def build_faulty_turbo(

@@ -46,20 +46,18 @@ def measure(
 ) -> "tuple[Time, int]":
     """``(completion_time, sends)`` for one candidate, exactly.
 
-    Runs the family's protocol on the turbo backend (``validate=False``,
-    ``collect=False`` — calibration trusts the conformance suite) and
-    returns the exact rational completion time and the send count.
+    Runs the family's protocol on the turbo lane with no audit, metrics
+    or schedule (calibration trusts the conformance suite) and reads the
+    exact rational completion time and the send count off the finished
+    system.
     """
-    from repro.postal.runner import run_protocol
+    from repro.postal.runner import _run_turbo
 
     lam_t = as_time(lam)
     oracle = get_oracle(family)
     oracle.check_applicable(n, m, lam_t)
-    result = run_protocol(
+    system = _run_turbo(
         oracle.protocol(n, m, lam_t),
-        policy=ContentionPolicy(policy) if isinstance(policy, str) else policy,
-        validate=False,
-        collect=False,
-        backend="turbo",
+        ContentionPolicy(policy) if isinstance(policy, str) else policy,
     )
-    return result.completion_time, result.sends
+    return system.completion_time, system.send_count

@@ -1,7 +1,7 @@
 """The ``backend="turbo"`` execution lane: lossless integer-tick postal
 simulation.
 
-Four pieces:
+Five pieces:
 
 * :mod:`repro.turbo.ticks` — the :class:`TickDomain` rescaling a run's
   rational times to plain ``int`` ticks (scale = LCM of denominators;
@@ -13,6 +13,10 @@ Four pieces:
 * :mod:`repro.turbo.runlog` — the columnar :class:`RunLog` the engine
   writes (five ``array('q')`` columns; trace records materialize only on
   demand).
+* :mod:`repro.turbo.columnar` — what both lanes compute on a finished
+  run's integer columns instead of a trace: the Lemma 5 / Lemma 8
+  certificates, counted run metrics, the realized schedule and port
+  views.
 * :mod:`repro.turbo.replay` — the vectorized plan-replay tier
   (``backend="replay"``): batched column passes over a compiled
   :class:`~repro.plan.columns.SchedulePlan`, no event queue at all.

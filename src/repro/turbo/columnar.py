@@ -1,0 +1,218 @@
+"""Certificates, metrics and views over a finished run's integer columns.
+
+A turbo or replay run is, after the fact, a few integer columns per
+send: who sent which message to whom, the tick the send started and the
+tick it arrived.  :class:`~repro.turbo.fastsim.TurboSystem` and
+:class:`~repro.turbo.replay.ReplaySystem` both hand those columns to
+the functions here instead of materializing a trace:
+
+* :func:`check_certificates` — the paper's Lemma 5 and Lemma 8 on a
+  broadcast run's deliveries (the postal-model sweep itself is
+  :func:`repro.plan.columns.audit_columns`);
+* :func:`count_metrics` — the run's
+  :class:`~repro.obs.metrics.RunMetrics` by counting, equal to folding
+  the trace through a :class:`~repro.obs.metrics.MetricsCollector`;
+* :func:`columns_schedule` and :func:`port_views` — the realized
+  :class:`~repro.core.schedule.Schedule` and the port busy logs, built
+  on demand.
+"""
+
+from __future__ import annotations
+
+from collections import Counter, deque
+from fractions import Fraction
+from typing import Iterable, Sequence
+
+from repro.core.analysis import multi_lower_bound
+from repro.core.fibfunc import check_informed_bound
+from repro.core.schedule import Schedule, SendEvent
+from repro.errors import ScheduleError
+from repro.obs.metrics import RunMetrics
+from repro.turbo.runlog import CONSUME, DELIVER, RunLog
+from repro.turbo.ticks import TickDomain
+from repro.types import ProcId, Time, ZERO, time_repr
+
+__all__ = [
+    "PortView",
+    "check_certificates",
+    "count_metrics",
+    "columns_schedule",
+    "port_views",
+]
+
+
+def check_certificates(
+    n: int, m: int, lam: Time, scale: int, msgs: Iterable[int],
+    arrivals: Sequence[int],
+) -> None:
+    """The paper's certificates on one broadcast run's deliveries.
+
+    *msgs* and *arrivals* are parallel, one entry per delivery (its
+    message index and arrival tick, ``scale`` ticks per unit):
+
+    * Lemma 5 — at every time ``t`` at most ``F_lambda(t)`` processors
+      know each message (:func:`~repro.core.fibfunc.check_informed_bound`);
+    * Lemma 8 — the last arrival is no earlier than
+      ``(m-1) + f_lambda(n)`` (:func:`~repro.core.analysis.
+      multi_lower_bound`).
+
+    Raises:
+        ScheduleError: a certificate fails.
+    """
+    check_informed_bound(lam, scale, msgs, arrivals)
+    completion = Fraction(max(arrivals, default=0), scale)
+    bound = multi_lower_bound(n, m, lam)
+    if completion < bound:
+        raise ScheduleError(
+            f"Lemma 8: makespan {time_repr(completion)} beats the lower "
+            f"bound (m-1) + f_lambda(n) = {time_repr(bound)}"
+        )
+
+
+def count_metrics(
+    n: int,
+    lam: Time,
+    domain: TickDomain,
+    senders: Iterable[ProcId],
+    receivers: Iterable[ProcId],
+    latencies: Iterable[int],
+    makespan: Time,
+    *,
+    log: "RunLog | None" = None,
+) -> RunMetrics:
+    """A run's :class:`~repro.obs.metrics.RunMetrics`, by counting.
+
+    Args:
+        n / lam / domain: the machine and its tick grid.
+        senders: the sender of every send.
+        receivers / latencies: the receiver and the ``arrival - start``
+            ticks of every delivery.
+        makespan: the last arrival.
+        log: the run's :class:`~repro.turbo.runlog.RunLog`, when its
+            programs consume deliveries.  Its ``DELIVER`` and ``CONSUME``
+            rows, in append order, replay every inbox: a receive queues
+            its arrival tick, a consume takes the oldest one (inboxes are
+            FIFO), so depth, high-water mark, residual, consume count
+            and the longest wait follow.  Without a log nothing is
+            consumed: each inbox only fills, to its receive count.
+
+    Equal, field for field, to folding the run's trace through a
+    :class:`~repro.obs.metrics.MetricsCollector`.
+    """
+    sent = [0] * n
+    for p in senders:
+        sent[p] += 1
+    got = [0] * n
+    for p in receivers:
+        got[p] += 1
+    sends, receives = tuple(sent), tuple(got)
+    deliveries = sum(receives)
+    # one Fraction per distinct count
+    busy = {c: Fraction(c) for c in {*sends, *receives}}
+    util = {c: b / makespan if makespan else ZERO for c, b in busy.items()}
+    by_latency = sorted(Counter(latencies).items())
+    to_time = domain.to_time
+    histogram = tuple((to_time(lat), count) for lat, count in by_latency)
+
+    consumed = 0
+    max_wait: Time | None = None
+    if log is None:
+        high_water = residual = receives
+    else:
+        queues: list[deque] = [deque() for _ in range(n)]
+        high = [0] * n
+        longest = 0
+        for code, tick, proc in zip(log.codes, log.ticks, log.b):
+            if code == DELIVER:
+                queue = queues[proc]
+                queue.append(tick)
+                if len(queue) > high[proc]:
+                    high[proc] = len(queue)
+            elif code == CONSUME:
+                consumed += 1
+                wait = tick - queues[proc].popleft()
+                if wait > longest:
+                    longest = wait
+        high_water = tuple(high)
+        residual = tuple(map(len, queues))
+        if consumed:
+            max_wait = to_time(longest)
+
+    return RunMetrics(
+        n=n,
+        lam=lam,
+        makespan=makespan,
+        total_sends=sum(sends),
+        total_deliveries=deliveries,
+        total_consumed=consumed,
+        total_drops=0,
+        sends=sends,
+        receives=receives,
+        send_busy=tuple(map(busy.__getitem__, sends)),
+        recv_busy=tuple(map(busy.__getitem__, receives)),
+        send_utilization=tuple(map(util.__getitem__, sends)),
+        recv_utilization=tuple(map(util.__getitem__, receives)),
+        inbox_high_water=high_water,
+        inbox_residual=residual,
+        latency_histogram=histogram,
+        min_latency=histogram[0][0] if histogram else None,
+        max_latency=histogram[-1][0] if histogram else None,
+        mean_latency=(
+            Fraction(
+                sum(lat * count for lat, count in by_latency),
+                domain.scale * deliveries,
+            )
+            if deliveries
+            else None
+        ),
+        max_inbox_wait=max_wait,
+    )
+
+
+def columns_schedule(
+    n: int,
+    lam: Time,
+    domain: TickDomain,
+    rows: Iterable[tuple[int, ProcId, int, ProcId]],
+    *,
+    m: int,
+    root: ProcId,
+    validate: bool,
+) -> Schedule:
+    """The realized :class:`~repro.core.schedule.Schedule` of integer
+    ``(start tick, sender, msg, receiver)`` rows.
+
+    The rows are sorted on that whole key first — the order the schedule
+    keeps its events in — so the schedule's own sort of
+    :class:`~repro.core.schedule.SendEvent` objects is one linear pass.
+    """
+    to_time = domain.to_time
+    events = [SendEvent(to_time(t), s, k, r) for t, s, k, r in sorted(rows)]
+    return Schedule(n, lam, events, m=m, root=root, validate=validate)
+
+
+class PortView:
+    """A finished port's busy log, duck-typing the auditor-facing slice of
+    :class:`~repro.postal.ports._Port`."""
+
+    __slots__ = ("proc", "busy_intervals")
+
+    def __init__(self, proc: ProcId, busy_intervals: list[tuple[Time, Time]]):
+        self.proc = proc
+        self.busy_intervals = busy_intervals
+
+
+def port_views(
+    n: int, domain: TickDomain, procs: Iterable[ProcId], ticks: Iterable[int]
+) -> list[PortView]:
+    """One :class:`PortView` per processor: each ``(proc, tick)`` pair
+    occupies *proc*'s port for ``[tick, tick + 1)``."""
+    one = domain.scale
+    per_proc: list[list[int]] = [[] for _ in range(n)]
+    for p, t in zip(procs, ticks):
+        per_proc[p].append(t)
+    to_time = domain.to_time
+    return [
+        PortView(p, [(to_time(t), to_time(t + one)) for t in sorted(busy)])
+        for p, busy in enumerate(per_proc)
+    ]

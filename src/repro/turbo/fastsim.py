@@ -31,11 +31,14 @@ This module specializes for that shape:
 * **Columnar run log** — the run appends packed integers to a
   :class:`~repro.turbo.runlog.RunLog` (five ``array('q')`` columns, the
   layout of :mod:`repro.plan.columns`) and never touches the
-  :class:`~repro.sim.trace.Tracer`; :meth:`TurboSystem.flush_trace`
-  materializes real :class:`~repro.sim.trace.TraceRecord` objects *on
-  demand* (the validator / metrics path).  A ``validate=False,
-  collect=False`` run allocates zero trace records and no per-event
-  Python containers.
+  :class:`~repro.sim.trace.Tracer`.  Each delivery row points at its
+  send row, so the log *is* the realized ``starts`` / ``arrivals``
+  columns: :meth:`TurboSystem.audit` and :meth:`TurboSystem.run_metrics`
+  check and measure the run on them (:mod:`repro.turbo.columnar`), and
+  :attr:`TurboSystem.tracer` materializes real
+  :class:`~repro.sim.trace.TraceRecord` objects only when someone reads
+  it.  A default ``run_protocol(..., backend="turbo")`` call builds no
+  trace record.
 
 Protocols run **unchanged**: :class:`TurboSystem` exposes the same
 ``send`` / ``recv`` / ``env.now`` / ``env.timeout`` surface as
@@ -56,7 +59,7 @@ conformance grid, rational latencies included.
 from __future__ import annotations
 
 import heapq
-from operator import itemgetter
+from array import array
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import (
@@ -65,13 +68,22 @@ from repro.errors import (
     SimulationError,
     SimultaneousIOError,
 )
+from repro.obs.metrics import RunMetrics
 from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
+from repro.turbo.columnar import (
+    PortView,
+    check_certificates,
+    columns_schedule,
+    count_metrics,
+    port_views,
+)
 from repro.turbo.runlog import (
     CONSUME as _CONSUME,
     DELIVER as _DELIVER,
+    DROP_LOSS as _DROP_LOSS,
     SEND as _SEND,
     SEND_RETRANSMIT as _SEND_RT,
     RunLog,
@@ -502,9 +514,10 @@ class TurboSystem:
 
     Port bookkeeping is two integer arrays: a send started at tick ``t``
     sets ``send_free[src] = t + one`` (``one`` = ticks per time unit) and
-    books the delivery directly on the heap.  The run writes compact
-    tuples to an internal log; :meth:`flush_trace` converts them to real
-    trace records when (and only when) an auditor or collector asks.
+    books the delivery directly on the heap.  The run writes packed rows
+    to a :class:`~repro.turbo.runlog.RunLog`; :meth:`audit` and
+    :meth:`run_metrics` read them as columns, and :attr:`tracer` turns
+    them into real trace records on first read.
 
     Pair-dependent latencies are converted to ticks lazily; a pair value
     off the run's grid raises :class:`~repro.errors.TickDomainError`
@@ -518,7 +531,7 @@ class TurboSystem:
         "_lam",
         "_latency_fn",
         "_policy",
-        "tracer",
+        "_tracer",
         "_one",
         "_lam_ticks",
         "_pair_ticks",
@@ -536,6 +549,7 @@ class TurboSystem:
         "_lg_objs",
         "_completion_tick",
         "_flushed",
+        "_columns",
         "_send_views",
         "_recv_views",
     )
@@ -563,7 +577,7 @@ class TurboSystem:
         self._lam = lam
         self._latency_fn = latency
         self._policy = policy
-        self.tracer = tracer if tracer is not None else Tracer()
+        self._tracer = tracer if tracer is not None else Tracer()
         one = self.domain.scale
         self._one = one
         self._lam_ticks = self.domain.to_ticks(lam)
@@ -584,8 +598,9 @@ class TurboSystem:
         self._lg_objs = log.objs
         self._completion_tick = 0
         self._flushed = False
-        self._send_views: list["_PortView"] | None = None
-        self._recv_views: list["_PortView"] | None = None
+        self._columns: tuple | None = None
+        self._send_views: list[PortView] | None = None
+        self._recv_views: list[PortView] | None = None
 
     # ------------------------------------------------------------ metadata
 
@@ -657,6 +672,7 @@ class TurboSystem:
         if start < now:
             start = now
         self._send_free[src] = start + one
+        row = len(self._log.codes)
         self._lg_code(_SEND)
         self._lg_tick(start)
         self._lg_a(src)
@@ -670,11 +686,15 @@ class TurboSystem:
         env._push(start + one, done._fire)
         lat = self._latency_ticks(src, dst)
         book = self._book_strict if self._strict else self._book_queued
-        env._push(start + lat - one, book, start, src, dst, msg, payload)
+        env._push(start + lat - one, book, row, start, src, dst, msg, payload)
         return done
 
+    # The delivery chain carries the send's log row, which the DELIVER row
+    # records: the link that makes the log the run's realized columns.
+
     def _book_strict(
-        self, start: int, src: ProcId, dst: ProcId, msg: int, payload: Any
+        self, row: int, start: int, src: ProcId, dst: ProcId, msg: int,
+        payload: Any,
     ) -> None:
         window = self.env._tick
         free = self._recv_free[dst]
@@ -688,20 +708,24 @@ class TurboSystem:
             )
         due = window + self._one
         self._recv_free[dst] = due
-        self.env._push(due, self._deliver, start, src, dst, msg, payload)
+        self.env._push(due, self._deliver, row, start, src, dst, msg, payload)
 
     def _book_queued(
-        self, start: int, src: ProcId, dst: ProcId, msg: int, payload: Any
+        self, row: int, start: int, src: ProcId, dst: ProcId, msg: int,
+        payload: Any,
     ) -> None:
         window = self.env._tick
         one = self._one
         free = self._recv_free[dst]
         rstart = window if free <= window else free
         self._recv_free[dst] = rstart + one
-        self.env._push(rstart + one, self._deliver, start, src, dst, msg, payload)
+        self.env._push(
+            rstart + one, self._deliver, row, start, src, dst, msg, payload
+        )
 
     def _deliver(
-        self, start: int, src: ProcId, dst: ProcId, msg: int, payload: Any
+        self, row: int, start: int, src: ProcId, dst: ProcId, msg: int,
+        payload: Any,
     ) -> None:
         env = self.env
         arrival = env._tick
@@ -714,7 +738,7 @@ class TurboSystem:
         self._lg_tick(arrival)
         self._lg_a(oid)
         self._lg_b(dst)
-        self._lg_c(0)
+        self._lg_c(row)
         if arrival > self._completion_tick:
             self._completion_tick = arrival
         # the landing is synchronous (Store.put semantics); only the
@@ -785,10 +809,8 @@ class TurboSystem:
     def realized_schedule(self, *, m: int = 1, root: int = 0, validate: bool = False):
         """The run's :class:`~repro.core.schedule.Schedule` built straight
         from the compact log (strict uniform runs only) — no trace
-        materialization, events pre-sorted by tick so the schedule's sort
-        is a linear pass."""
-        from repro.core.schedule import Schedule, SendEvent
-
+        materialization; the integer rows are sorted on the schedule's
+        whole event key first, so its own sort is a linear pass."""
         if self._policy is not ContentionPolicy.STRICT:
             raise ModelError(
                 "schedule reconstruction requires the strict contention policy"
@@ -796,20 +818,126 @@ class TurboSystem:
         if not self.uniform_latency:
             raise ModelError(
                 "schedule reconstruction requires uniform latency; pair-"
-                "dependent runs are audited via audit_ports + delivery records"
+                "dependent runs are audited on their columns (audit())"
             )
-        to_time = self.domain.to_time
-        sends = [row for row in self._log.rows() if row[0] == _SEND]
-        sends.sort(key=itemgetter(1))
-        events = [
-            SendEvent(to_time(tick), src, msg, dst)
-            for _, tick, src, dst, msg in sends
-        ]
-        return Schedule(
-            self._n, self._lam, events, m=m, root=root, validate=validate
+        log = self._log
+        sends = log.where(_SEND)
+        rows = zip(
+            map(log.ticks.__getitem__, sends),
+            map(log.a.__getitem__, sends),
+            map(log.c.__getitem__, sends),
+            map(log.b.__getitem__, sends),
+        )
+        return columns_schedule(
+            self._n, self._lam, self.domain, rows,
+            m=m, root=root, validate=validate,
+        )
+
+    # ------------------------------------------- audit and metrics, columnar
+
+    def _realized(self) -> tuple:
+        """The finished run as columns over its log rows (cached):
+        ``(sends, deliveries, arrivals, order, lats, windows)``.
+
+        ``sends`` / ``deliveries`` are the ``SEND`` / ``DELIVER`` row
+        indices in append order; over send rows, ``log.ticks`` holds the
+        starts and ``arrivals`` the arrival ticks (0 = never delivered).
+        ``order`` is the send rows stable-sorted by start — the loop's
+        receive-window order under a uniform latency, since every window
+        hop is pushed at send time, in send-row order.  With pair
+        latencies, ``lats`` maps each send row to its latency in ticks
+        and ``windows`` is the send rows stable-sorted by due tick.
+        """
+        if self._columns is None:
+            log = self._log
+            ticks = log.ticks
+            sends = log.where(_SEND)
+            deliveries = log.where(_DELIVER)
+            arrivals = array("q", bytes(8 * len(ticks)))
+            for row, tick in zip(
+                map(log.c.__getitem__, deliveries),
+                map(ticks.__getitem__, deliveries),
+            ):
+                arrivals[row] = tick
+            order = sorted(sends, key=ticks.__getitem__)
+            lats = windows = None
+            if self._latency_fn is not None:
+                pair = self._pair_ticks
+                lats = {i: pair[log.a[i], log.b[i]] for i in sends}
+                windows = sorted(sends, key=lambda i: ticks[i] + lats[i])
+            self._columns = (sends, deliveries, arrivals, order, lats, windows)
+        return self._columns
+
+    def audit(self, *, broadcast: bool = True, m: int = 1, root: int = 0) -> None:
+        """Audit the finished run on its log columns, with no trace.
+
+        One :func:`~repro.plan.columns.audit_columns` sweep checks the
+        postal model (Definitions 1-2): ranges, each arrival against its
+        send's start plus its latency (``==`` under the strict policy;
+        under the queued one, the work-conserving FIFO completion at the
+        receive port), a one-unit gap between uses of every send and
+        receive port, and, for *broadcast* semantics (*m* messages from
+        *root*), possession, single delivery and full coverage.  Message
+        ids of other semantics are not bounded.  A uniform-latency
+        broadcast then carries the paper's certificates, Lemma 5 and
+        Lemma 8 (:func:`~repro.turbo.columnar.check_certificates`).
+
+        Raises:
+            ScheduleError: a structural, causality or coverage violation,
+                or a failed certificate.
+            SimultaneousIOError: two uses of one port overlap.
+            ModelError: a queued arrival the port's contention does not
+                explain.
+        """
+        # local: repro.plan.columns imports repro.turbo (the tick domain)
+        from repro.plan.columns import audit_columns
+
+        log = self._log
+        sends, _, arrivals, order, lats, windows = self._realized()
+        queued = not self._strict
+        audit_columns(
+            log.a, log.c, log.b, log.ticks, arrivals, order,
+            n=self._n, domain=self.domain, lam_ticks=self._lam_ticks,
+            m=m if broadcast else None, root=root, broadcast=broadcast,
+            queued=queued, fifo=queued, lats=lats, windows=windows,
+        )
+        if broadcast and lats is None:
+            check_certificates(
+                self._n, m, self._lam, self._one,
+                map(log.c.__getitem__, sends),
+                list(map(arrivals.__getitem__, sends)),
+            )
+
+    def run_metrics(self) -> RunMetrics:
+        """The run's :class:`~repro.obs.metrics.RunMetrics`, counted on the
+        log columns (:func:`~repro.turbo.columnar.count_metrics`).  Equal
+        to folding :attr:`tracer` through a
+        :class:`~repro.obs.metrics.MetricsCollector`, without building it."""
+        log = self._log
+        sends, deliveries, *_ = self._realized()
+        ticks = log.ticks
+        return count_metrics(
+            self._n,
+            self._lam,
+            self.domain,
+            map(log.a.__getitem__, sends),
+            map(log.b.__getitem__, deliveries),
+            map(
+                int.__sub__,
+                map(ticks.__getitem__, deliveries),
+                map(ticks.__getitem__, map(log.c.__getitem__, deliveries)),
+            ),
+            self.completion_time,
+            log=log,
         )
 
     # ------------------------------------------------------ validator views
+
+    @property
+    def tracer(self) -> Tracer:
+        """The run's trace, materialized from the log on first read (see
+        :meth:`flush_trace`)."""
+        return self._trace()
 
     def flush_trace(self) -> Tracer:
         """Materialize the compact log into :attr:`tracer` (idempotent).
@@ -817,12 +945,26 @@ class TurboSystem:
         Entries are stable-sorted by tick, so the tracer's nondecreasing-
         time guarantee holds and every ``deliver`` precedes its
         ``consume``.  This is the *only* place turbo builds trace records
-        — a run that is never flushed allocates none.
+        — a run whose trace is never read allocates none.
         """
-        if self._flushed:
-            return self.tracer
-        self._flushed = True
-        emit = self.tracer.emit
+        return self._trace()
+
+    def _trace(self) -> Tracer:
+        # the one builder behind both `tracer` and `flush_trace`, so a
+        # wrapper around either may read the other without recursing
+        if not self._flushed:
+            self._flushed = True
+            self._emit_log(self._tracer.emit)
+        return self._tracer
+
+    def _emit_log(self, emit: Callable) -> None:
+        """Emit one trace record per log row, stable-sorted by tick.
+
+        Rows only a fault-injecting run logs come out as well: a
+        retransmission is a ``send`` record carrying ``retransmit:
+        True``, a lost or crash-suppressed delivery a ``drop`` record
+        carrying ``reason: "loss"|"crash"``.
+        """
         to_time = self.domain.to_time
         log = self._log
         codes, ticks = log.codes, log.ticks
@@ -830,16 +972,15 @@ class TurboSystem:
         objs = log.objs
         for i in log.order_by_tick():
             code = codes[i]
-            if code == _SEND:
-                emit(
-                    to_time(ticks[i]),
-                    "send",
-                    {"src": col_a[i], "dst": col_b[i], "msg": col_c[i]},
-                )
+            if code == _SEND or code == _SEND_RT:
+                data = {"src": col_a[i], "dst": col_b[i], "msg": col_c[i]}
+                if code == _SEND_RT:
+                    data["retransmit"] = True
+                emit(to_time(ticks[i]), "send", data)
             elif code == _DELIVER:
                 record = objs[col_a[i]]
                 emit(record.arrived_at, "deliver", record)
-            else:  # _CONSUME
+            elif code == _CONSUME:
                 record = objs[col_a[i]]
                 now = to_time(ticks[i])
                 emit(
@@ -852,36 +993,42 @@ class TurboSystem:
                         "waited": now - record.arrived_at,
                     },
                 )
-        return self.tracer
+            else:  # _DROP_LOSS or _DROP_CRASH
+                emit(
+                    to_time(ticks[i]),
+                    "drop",
+                    {
+                        "src": col_a[i],
+                        "dst": col_b[i],
+                        "msg": col_c[i],
+                        "reason": "loss" if code == _DROP_LOSS else "crash",
+                    },
+                )
 
     def _build_port_views(self) -> None:
-        n = self._n
+        log = self._log
+        ticks = log.ticks
+        sends = log.where(_SEND, _SEND_RT)
+        deliveries = log.where(_DELIVER)
         one = self._one
-        send_ticks: list[list[int]] = [[] for _ in range(n)]
-        recv_ticks: list[list[int]] = [[] for _ in range(n)]
-        for code, tick, a, b, _ in self._log.rows():
-            if code == _SEND or code == _SEND_RT:
-                send_ticks[a].append(tick)
-            elif code == _DELIVER:
-                recv_ticks[b].append(tick - one)
-        to_time = self.domain.to_time
-        self._send_views = [
-            _PortView(p, [(to_time(t), to_time(t + one)) for t in sorted(ticks)])
-            for p, ticks in enumerate(send_ticks)
-        ]
-        self._recv_views = [
-            _PortView(p, [(to_time(t), to_time(t + one)) for t in sorted(ticks)])
-            for p, ticks in enumerate(recv_ticks)
-        ]
+        self._send_views = port_views(
+            self._n, self.domain,
+            map(log.a.__getitem__, sends), map(ticks.__getitem__, sends),
+        )
+        self._recv_views = port_views(
+            self._n, self.domain,
+            map(log.b.__getitem__, deliveries),
+            (ticks[j] - one for j in deliveries),
+        )
 
-    def send_port(self, proc: ProcId) -> "_PortView":
+    def send_port(self, proc: ProcId) -> PortView:
         """The send port's busy log, reconstructed from the run log (same
         shape :func:`~repro.postal.validator.audit_ports` reads)."""
         if self._send_views is None:
             self._build_port_views()
         return self._send_views[proc]
 
-    def recv_port(self, proc: ProcId) -> "_PortView":
+    def recv_port(self, proc: ProcId) -> PortView:
         """The receive port's busy log (each delivery occupies
         ``[arrival - 1, arrival)``)."""
         if self._recv_views is None:
@@ -895,17 +1042,6 @@ class TurboSystem:
             raise InvalidParameterError(
                 f"processor p{proc} outside 0..{self._n - 1}"
             )
-
-
-class _PortView:
-    """A finished port's busy log, duck-typing the auditor-facing slice of
-    :class:`~repro.postal.ports._Port`."""
-
-    __slots__ = ("proc", "busy_intervals")
-
-    def __init__(self, proc: ProcId, busy_intervals: list[tuple[Time, Time]]):
-        self.proc = proc
-        self.busy_intervals = busy_intervals
 
 
 def build_turbo(

@@ -58,21 +58,23 @@ from __future__ import annotations
 
 import hashlib
 from array import array
-from collections import Counter
-from fractions import Fraction
-from operator import itemgetter, sub
+from operator import sub
 
 from repro.batch.kernels import replay_passes
 
-from repro.core.analysis import multi_lower_bound
-from repro.core.fibfunc import check_informed_bound
-from repro.core.schedule import Schedule, SendEvent
-from repro.errors import ModelError, ScheduleError, SimultaneousIOError
+from repro.core.schedule import Schedule
+from repro.errors import ModelError, SimultaneousIOError
 from repro.obs.metrics import RunMetrics
 from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
-from repro.turbo.fastsim import _PortView
+from repro.turbo.columnar import (
+    PortView,
+    check_certificates,
+    columns_schedule,
+    count_metrics,
+    port_views,
+)
 from repro.types import ProcId, Time, ZERO, time_repr
 
 __all__ = ["ReplaySystem", "replay_plan"]
@@ -271,18 +273,10 @@ class ReplaySystem:
                 "schedule reconstruction requires the strict contention policy"
             )
         plan = self.plan
-        to_time = self.domain.to_time
-        starts = self._starts
-        rows = [
-            (starts[i], plan.senders[i], plan.msgs[i], plan.receivers[i])
-            for i in range(len(starts))
-        ]
-        rows.sort(key=itemgetter(0))
-        events = [
-            SendEvent(to_time(t), s, k, r) for t, s, k, r in rows
-        ]
-        return Schedule(
-            plan.n, plan.lam, events, m=m, root=root, validate=validate
+        return columns_schedule(
+            plan.n, plan.lam, self.domain,
+            zip(self._starts, plan.senders, plan.msgs, plan.receivers),
+            m=m, root=root, validate=validate,
         )
 
     # ------------------------------------------- audit and metrics, columnar
@@ -292,12 +286,13 @@ class ReplaySystem:
 
         One :func:`~repro.plan.columns.audit_columns` sweep in window
         order checks the postal model (Definitions 1-2): ranges,
-        ``arrival == start + lambda`` (``>=`` under the queued policy),
-        a one-unit gap between uses of every send and receive port, and,
-        for *broadcast* semantics, possession, single delivery and full
-        coverage.  A broadcast run then carries the paper's certificates:
-        Lemma 5 (:func:`~repro.core.fibfunc.check_informed_bound`) and
-        Lemma 8 (completion at least ``(m-1) + f_lambda(n)``).
+        ``arrival == start + lambda`` (``>=`` under the queued policy —
+        ``run_protocol`` refuses contended queued replays, so its
+        replays never arrive late), a one-unit gap between uses of every
+        send and receive port, and, for *broadcast* semantics,
+        possession, single delivery and full coverage.  A broadcast run
+        then carries the paper's certificates, Lemma 5 and Lemma 8
+        (:func:`~repro.turbo.columnar.check_certificates`).
 
         Raises:
             ScheduleError: a structural, causality or coverage violation,
@@ -309,22 +304,15 @@ class ReplaySystem:
 
         plan = self.plan
         audit_columns(
-            plan,
-            self._starts,
-            self._arrivals,
-            self._order,
+            plan.senders, plan.msgs, plan.receivers,
+            self._starts, self._arrivals, self._order,
+            n=plan.n, domain=self.domain, lam_ticks=plan.lam_ticks,
+            m=plan.m, root=plan.root, broadcast=broadcast,
             queued=self._policy is not ContentionPolicy.STRICT,
-            broadcast=broadcast,
         )
-        if not broadcast:
-            return
-        check_informed_bound(plan.lam, self._one, plan.msgs, self._arrivals)
-        bound = multi_lower_bound(plan.n, plan.m, plan.lam)
-        completion = self.completion_time
-        if completion < bound:
-            raise ScheduleError(
-                f"Lemma 8: makespan {time_repr(completion)} beats the lower "
-                f"bound (m-1) + f_lambda(n) = {time_repr(bound)}"
+        if broadcast:
+            check_certificates(
+                plan.n, plan.m, plan.lam, self._one, plan.msgs, self._arrivals
             )
 
     def run_metrics(self) -> RunMetrics:
@@ -337,49 +325,14 @@ class ReplaySystem:
         ``total_consumed`` is 0 and ``max_inbox_wait`` is ``None``.
         """
         plan = self.plan
-        rows = len(self._starts)
-        makespan = self.completion_time
-        sent = [0] * plan.n
-        for p in plan.senders:
-            sent[p] += 1
-        got = [0] * plan.n
-        for p in plan.receivers:
-            got[p] += 1
-        sends, receives = tuple(sent), tuple(got)
-        # one Fraction per distinct count
-        busy = {c: Fraction(c) for c in {*sends, *receives}}
-        util = {c: b / makespan if makespan else ZERO for c, b in busy.items()}
-        latencies = sorted(Counter(map(sub, self._arrivals, self._starts)).items())
-        to_time = self.domain.to_time
-        histogram = tuple((to_time(lat), count) for lat, count in latencies)
-        return RunMetrics(
-            n=plan.n,
-            lam=plan.lam,
-            makespan=makespan,
-            total_sends=rows,
-            total_deliveries=rows,
-            total_consumed=0,
-            total_drops=0,
-            sends=sends,
-            receives=receives,
-            send_busy=tuple(map(busy.__getitem__, sends)),
-            recv_busy=tuple(map(busy.__getitem__, receives)),
-            send_utilization=tuple(map(util.__getitem__, sends)),
-            recv_utilization=tuple(map(util.__getitem__, receives)),
-            inbox_high_water=receives,
-            inbox_residual=receives,
-            latency_histogram=histogram,
-            min_latency=histogram[0][0] if rows else None,
-            max_latency=histogram[-1][0] if rows else None,
-            mean_latency=(
-                Fraction(
-                    sum(lat * count for lat, count in latencies),
-                    self._one * rows,
-                )
-                if rows
-                else None
-            ),
-            max_inbox_wait=None,
+        return count_metrics(
+            plan.n,
+            plan.lam,
+            self.domain,
+            plan.senders,
+            plan.receivers,
+            map(sub, self._arrivals, self._starts),
+            self.completion_time,
         )
 
     # ------------------------------------------------------ validator views
@@ -445,32 +398,21 @@ class ReplaySystem:
 
     def _build_port_views(self) -> None:
         plan = self.plan
-        n = plan.n
         one = self._one
-        send_ticks: list[list[int]] = [[] for _ in range(n)]
-        recv_ticks: list[list[int]] = [[] for _ in range(n)]
-        starts = self._starts
-        arrivals = self._arrivals
-        senders, receivers = plan.senders, plan.receivers
-        for i in range(len(starts)):
-            send_ticks[senders[i]].append(starts[i])
-            recv_ticks[receivers[i]].append(arrivals[i] - one)
-        to_time = self.domain.to_time
-        self._send_views = [
-            _PortView(p, [(to_time(t), to_time(t + one)) for t in sorted(ticks)])
-            for p, ticks in enumerate(send_ticks)
-        ]
-        self._recv_views = [
-            _PortView(p, [(to_time(t), to_time(t + one)) for t in sorted(ticks)])
-            for p, ticks in enumerate(recv_ticks)
-        ]
+        self._send_views = port_views(
+            plan.n, self.domain, plan.senders, self._starts
+        )
+        self._recv_views = port_views(
+            plan.n, self.domain, plan.receivers,
+            (a - one for a in self._arrivals),
+        )
 
-    def send_port(self, proc: ProcId) -> _PortView:
+    def send_port(self, proc: ProcId) -> PortView:
         if self._send_views is None:
             self._build_port_views()
         return self._send_views[proc]
 
-    def recv_port(self, proc: ProcId) -> _PortView:
+    def recv_port(self, proc: ProcId) -> PortView:
         if self._recv_views is None:
             self._build_port_views()
         return self._recv_views[proc]

@@ -14,26 +14,31 @@ containers at all.
 
 Row encodings (``code`` selects the meaning of ``a`` / ``b`` / ``c``):
 
-========================  ===========  =====  =====  =====
+========================  ===========  =====  =====  ========
 code                      tick         a      b      c
-========================  ===========  =====  =====  =====
+========================  ===========  =====  =====  ========
 :data:`SEND`              start        src    dst    msg
 :data:`SEND_RETRANSMIT`   start        src    dst    msg
-:data:`DELIVER`           arrival      obj    dst    --
+:data:`DELIVER`           arrival      obj    dst    send row
 :data:`CONSUME`           consume      obj    dst    --
 :data:`DROP_LOSS`         start        src    dst    msg
 :data:`DROP_CRASH`        window       src    dst    msg
-========================  ===========  =====  =====  =====
+========================  ===========  =====  =====  ========
 
 ``obj`` is an index into :attr:`RunLog.objs` (the delivered
 :class:`~repro.postal.message.Message`); the Message is allocated anyway
 for inbox delivery, so storing one reference keeps
-``flush_trace`` byte-identical to the tuple-log era for free.
+``flush_trace`` byte-identical to the tuple-log era for free.  A
+``DELIVER`` row's ``send row`` is the index of the row that logged its
+send, so the log holds every send's start *and* arrival tick — the
+realized columns the turbo lane audits and measures
+(:mod:`repro.turbo.columnar`).
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import compress
 from typing import Iterator
 
 __all__ = [
@@ -67,8 +72,8 @@ class RunLog:
     >>> log = RunLog()
     >>> log.append(SEND, 3, 0, 1, 7)
     >>> log.append(DELIVER, 5, 0, 1)
-    >>> len(log), log.send_count, log.count(DELIVER)
-    (2, 1, 1)
+    >>> len(log), log.send_count, log.count(DELIVER), log.where(DELIVER)
+    (2, 1, 1, [1])
     >>> list(log.rows())
     [(0, 3, 0, 1, 7), (1, 5, 0, 1, 0)]
     """
@@ -99,6 +104,13 @@ class RunLog:
         """Number of rows whose code is any of *codes* (C-speed scan)."""
         col = self.codes
         return sum(col.count(code) for code in codes)
+
+    def where(self, *codes: int) -> list[int]:
+        """Indices of the rows whose code is any of *codes*, in append
+        order (a C-speed filter)."""
+        col = self.codes
+        hit = codes[0].__eq__ if len(codes) == 1 else frozenset(codes).__contains__
+        return list(compress(range(len(col)), map(hit, col)))
 
     @property
     def send_count(self) -> int:

@@ -115,3 +115,18 @@ class TestHierarchicalProtocol:
             assert max(proto.informed_at.values()) <= hierarchical_bcast_time(
                 sys_, overlap=False
             )
+
+    @pytest.mark.parametrize(
+        "case", [(4, 8, 1, 6), (8, 32, 1, 12), (3, 5, 2, 7)], ids=str
+    )
+    def test_turbo_lane_matches_exact(self, case):
+        """Pair latencies on the turbo lane: audited on its columns, the
+        same completion, sends and metrics as the exact engine."""
+        sys_ = HierarchicalSystem.of(*case)
+        exact = run_protocol(HierarchicalBcastProtocol(sys_))
+        turbo = run_protocol(HierarchicalBcastProtocol(sys_), backend="turbo")
+        assert turbo.schedule is None
+        assert turbo.completion_time == exact.completion_time
+        assert turbo.completion_time == hierarchical_bcast_time(sys_)
+        assert turbo.sends == exact.sends == sys_.n - 1
+        assert turbo.metrics == exact.metrics
