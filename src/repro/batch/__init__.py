@@ -1,5 +1,5 @@
-"""Grid-level batch execution: NumPy replay kernels + shared-memory
-plan distribution.
+"""Grid-level batch execution: NumPy replay kernels + sweeps sharded
+by plan key.
 
 The sweeps the ROADMAP cares about (conformance grids, bench
 trajectories, degradation curves) evaluate *many* parameter points,
@@ -10,12 +10,14 @@ the unit of execution:
   NumPy kernels over zero-copy views of the plan columns, with the
   pure-Python passes as a byte-identical fallback (``REPRO_NUMPY=off``
   forces it);
+* :mod:`repro.batch.runner` — :func:`run_batch`: group the points by
+  plan key, deal whole groups to worker shards that compile each plan
+  once in their own process and replay its points, and put the results
+  back in submission order, byte-identical to the serial path;
 * :mod:`repro.batch.shared` — ``SchedulePlan.to_shared()`` /
-  ``from_shared()`` over ``multiprocessing.shared_memory`` so workers
-  map plan columns instead of unpickling copies;
-* :mod:`repro.batch.runner` — :func:`run_batch`: compile or cache-hit
-  each distinct plan once, shard the points over workers, stream
-  results back in submission order, byte-identical to the serial path.
+  ``from_shared()`` over ``multiprocessing.shared_memory``, the
+  zero-copy plan transport of the conformance fuzzer's ``--batch``
+  sweep.
 
 Typical use::
 

@@ -7,25 +7,35 @@ materialization of a full event-object
 batch sweep needs none of that: every point is "replay this compiled
 plan under this policy and summarize".  :func:`run_batch` therefore
 
-1. **compiles or cache-hits each distinct plan once** in the parent
-   (points sharing a ``(family, n, m, lambda)`` key share the plan);
-2. replays each point through :func:`repro.turbo.replay.replay_plan`
-   (NumPy kernels when available, pure-Python fallback otherwise —
-   byte-identical either way);
-3. with ``jobs > 1``, distributes the plans to workers **zero-copy**
-   over shared memory (``transport="shared"``, the default) or by
-   serialized plan bytes (``transport="pickle"``, kept for differential
-   testing) and shards the points with
-   :func:`repro.parallel.parallel_map`, which streams results back in
-   submission order — so the merged output is element-for-element
-   identical to the serial run (the per-point summaries are exact
-   integers/strings, not wall times).
+1. resolves ``family="auto"`` points through the tuner (memoized per
+   query) and **groups the points by plan key** — points sharing a
+   ``(family, n, m, lambda)`` key share one plan;
+2. deals whole groups to shards, longest first, weighing each group by
+   the sends its points replay (:func:`repro.plan.build.plan_sends`,
+   known without compiling);
+3. runs every shard through :func:`_batch_worker`, one point at a time:
+   the worker takes the plan from its own process's
+   :func:`~repro.plan.cache.build_plan` cache (the first point of a key
+   compiles, the rest hit) and replays it through
+   :func:`repro.turbo.replay.replay_plan` (NumPy kernels when
+   available, pure-Python fallback otherwise — byte-identical either
+   way).
+
+With ``jobs > 1`` the shards run in worker processes through
+:func:`repro.parallel.parallel_map`.  Only points go in and only
+:class:`BatchResult` summaries come out: each worker compiles the plans
+of the keys it owns, so no plan ever crosses a process boundary, and
+the compiles run in parallel rather than serially in the parent.  A
+sweep too small to repay a pool (:data:`SHARD_MIN_SENDS`) runs as one
+shard in-process: same function, no pool.  Results go back in by input
+index, so the output is element-for-element identical for any ``jobs``
+(the per-point summaries are exact integers/strings, not wall times).
 
 Every :class:`BatchResult` carries a SHA-256 digest over the realized
 ``starts`` and ``arrivals`` columns, so "byte-identical" is checkable
-with ``==`` across serial/parallel, kernel/fallback, and
-shared/pickled variants — ``tests/test_batch_differential.py`` does
-exactly that for every plan-compiled family under both policies.
+with ``==`` across serial/parallel and kernel/fallback runs —
+``tests/test_batch_differential.py`` does exactly that for every
+plan-compiled family under both policies.
 """
 
 from __future__ import annotations
@@ -34,6 +44,7 @@ from dataclasses import dataclass, replace
 
 from repro.errors import InvalidParameterError
 from repro.parallel import effective_jobs, parallel_map, warn_if_oversubscribed
+from repro.plan.build import plan_sends
 from repro.plan.cache import PlanCache, build_plan
 from repro.plan.columns import SchedulePlan
 from repro.postal.machine import ContentionPolicy
@@ -43,7 +54,15 @@ from repro.types import as_time, time_repr
 __all__ = ["BatchPoint", "BatchResult", "run_batch"]
 
 _POLICIES = ("strict", "queued")
-_TRANSPORTS = ("shared", "pickle")
+
+#: Sends a sweep must replay per extra shard.  Below it a worker pool
+#: costs more than it saves.  On a 2-core Xeon VM, 16-point mixed sweeps
+#: with a cold plan cache (medians of 15 interleaved runs) took, at
+#: ``jobs=1`` against ``jobs=2``: 34 vs 36 ms at 15k sends, 41 vs 39 ms
+#: at 20k, 56 vs 47 ms at 31k and 87 vs 59 ms at 41k.  A sweep of ``S``
+#: sends uses at most ``ceil(S / SHARD_MIN_SENDS)`` shards; one shard
+#: runs in-process.
+SHARD_MIN_SENDS = 20_000
 
 
 @dataclass(frozen=True)
@@ -133,26 +152,45 @@ def _replay_point(plan: SchedulePlan, point: BatchPoint) -> BatchResult:
 
 # ---------------------------------------------------------------- workers
 
-#: Per-process plan cache for pool workers, keyed by shared-segment
-#: name (shared transport) or plan cache key (pickle transport) — each
-#: worker attaches/deserializes any given plan at most once.
-_WORKER_PLANS: dict = {}
 
-
-def _batch_worker(item) -> BatchResult:
-    point, handle, blob = item
-    if handle is not None:
-        plan = _WORKER_PLANS.get(handle.name)
-        if plan is None:
-            plan = SchedulePlan.from_shared(handle)
-            _WORKER_PLANS[handle.name] = plan
-    else:
-        key = PlanCache.key(point.family, point.n, point.m, as_time(point.lam))
-        plan = _WORKER_PLANS.get(key)
-        if plan is None:
-            plan = SchedulePlan.from_bytes(blob)
-            _WORKER_PLANS[key] = plan
+def _batch_worker(point: BatchPoint) -> BatchResult:
+    """Replay one point on the plan from this process's plan cache."""
+    plan = build_plan(point.family, point.n, point.m, as_time(point.lam))
     return _replay_point(plan, point)
+
+
+def _run_shard(points) -> list[BatchResult]:
+    # through the module global, so a patched _batch_worker runs here too
+    return [_batch_worker(point) for point in points]
+
+
+def _shards(points, jobs: int) -> "list[list[int]]":
+    """Point indices per shard: whole plan-key groups, dealt longest
+    first to the least-loaded shard, each group's points consecutive so
+    one compile serves them all."""
+    groups: "dict[tuple, list[int]]" = {}
+    for i, point in enumerate(points):
+        key = PlanCache.key(point.family, point.n, point.m, as_time(point.lam))
+        groups.setdefault(key, []).append(i)
+    weighed = sorted(
+        (
+            (plan_sends(*key[:3]) * len(members), members)
+            for key, members in groups.items()
+        ),
+        key=lambda item: (-item[0], item[1][0]),
+    )
+    count = min(jobs, len(groups))
+    if SHARD_MIN_SENDS > 0:
+        total = sum(weight for weight, _ in weighed)
+        count = min(count, -(-total // SHARD_MIN_SENDS))
+    count = max(1, count)
+    shards: "list[list[int]]" = [[] for _ in range(count)]
+    loads = [0] * count
+    for weight, members in weighed:
+        lightest = loads.index(min(loads))
+        shards[lightest].extend(members)
+        loads[lightest] += weight
+    return shards
 
 
 # ---------------------------------------------------------------- the API
@@ -163,7 +201,6 @@ def run_batch(
     *,
     backend: str = "replay",
     jobs: int = 1,
-    transport: str = "shared",
 ) -> list[BatchResult]:
     """Replay every :class:`BatchPoint` in *points*; results come back
     in submission order, byte-identical for any ``jobs`` value.
@@ -174,10 +211,10 @@ def run_batch(
             replay lane (protocol-stepping backends are inherently
             per-point; use :func:`repro.postal.runner.run_protocol`).
         jobs: worker processes (``0`` = one per CPU, as everywhere).
-        transport: how plans reach workers — ``"shared"`` maps one
-            shared-memory segment per distinct plan (zero-copy),
-            ``"pickle"`` ships serialized plan bytes per point (the old
-            scheme, kept so the differential suite can pin equality).
+            Points sharing a plan key stay on one worker, which
+            compiles the plan itself; a sweep below
+            :data:`SHARD_MIN_SENDS` sends per extra worker runs
+            in-process.
 
     >>> from repro.batch import BatchPoint, run_batch
     >>> [r.sends for r in run_batch([BatchPoint("BCAST", 64, 1, "5/2")])]
@@ -187,37 +224,15 @@ def run_batch(
         raise InvalidParameterError(
             f"run_batch supports backend='replay' only, got {backend!r}"
         )
-    if transport not in _TRANSPORTS:
-        raise InvalidParameterError(
-            f"transport must be one of {_TRANSPORTS}, got {transport!r}"
-        )
     points = [_resolve_auto(p) for p in points]
-
-    # compile or cache-hit each distinct plan exactly once
-    keys = []
-    plans: dict[tuple, SchedulePlan] = {}
-    for point in points:
-        lam = as_time(point.lam)
-        key = PlanCache.key(point.family, point.n, point.m, lam)
-        keys.append(key)
-        if key not in plans:
-            plans[key] = build_plan(point.family, point.n, point.m, lam)
-
     jobs = effective_jobs(jobs)
     warn_if_oversubscribed(jobs, what="batch")
-    if jobs <= 1 or len(points) <= 1:
-        return [_replay_point(plans[k], p) for k, p in zip(keys, points)]
-
-    if transport == "shared":
-        from repro.batch.shared import release_shared
-
-        handles = {key: plan.to_shared() for key, plan in plans.items()}
-        try:
-            work = [(p, handles[k], None) for k, p in zip(keys, points)]
-            return parallel_map(_batch_worker, work, jobs=jobs)
-        finally:
-            for handle in handles.values():
-                release_shared(handle)
-    blobs = {key: plan.to_bytes() for key, plan in plans.items()}
-    work = [(p, None, blobs[k]) for k, p in zip(keys, points)]
-    return parallel_map(_batch_worker, work, jobs=jobs)
+    shards = _shards(points, jobs)
+    work = [tuple(points[i] for i in shard) for shard in shards]
+    results: "list[BatchResult | None]" = [None] * len(points)
+    for shard, done in zip(
+        shards, parallel_map(_run_shard, work, jobs=len(shards))
+    ):
+        for i, result in zip(shard, done):
+            results[i] = result
+    return results  # type: ignore[return-value]

@@ -57,7 +57,10 @@ adds the installed NumPy version (or ``null``) to the header and the
 * **batch gate** (``repro bench --batch``) — the :mod:`repro.batch`
   tier must beat a per-point ``run_protocol(backend="replay")`` sweep
   by :data:`BATCH_GATE_MIN_SPEEDUP` on the 64-point
-  :func:`batch_grid`, and (NumPy installed) one strict replay at BCAST
+  :func:`batch_grid` (at the ``--jobs`` given); on a host with two or
+  more CPUs a cold-cache sweep at ``jobs=2`` must be at least
+  :data:`BATCH_PARALLEL_GATE_MIN_SPEEDUP` times as fast as at
+  ``jobs=1``; and (NumPy installed) one strict replay at BCAST
   ``n = 10^5`` must run :data:`BATCH_KERNEL_GATE_MIN_SPEEDUP` faster
   under the kernels than under the pure-Python passes;
 * **plan gate** — columnar construction must be at least
@@ -102,6 +105,7 @@ from repro.types import Time, as_time, time_repr
 
 __all__ = [
     "BATCH_GATE_MIN_SPEEDUP",
+    "BATCH_PARALLEL_GATE_MIN_SPEEDUP",
     "BATCH_KERNEL_GATE_N",
     "BATCH_KERNEL_GATE_MIN_SPEEDUP",
     "BenchCase",
@@ -195,6 +199,11 @@ REPLAY_GATE_MIN_SPEEDUP = 20.0
 #: (see :func:`batch_grid`): the batch tier must beat a per-point
 #: ``run_protocol(backend="replay")`` sweep at least this much.
 BATCH_GATE_MIN_SPEEDUP = 3.0
+
+#: Minimum cold-cache ``jobs=2`` over ``jobs=1`` speedup of the
+#: :func:`batch_grid` sweep, enforced when the host has at least two
+#: CPUs: a parallel sweep may not be slower than a serial one.
+BATCH_PARALLEL_GATE_MIN_SPEEDUP = 1.0
 
 #: Single-case NumPy-kernel gate point: BCAST at this ``n`` (the same
 #: plan the replay and plan gates describe).
@@ -408,8 +417,13 @@ def run_bench(
     timings share cores and are noisier; the committed baseline is
     recorded serially).
     """
+    from repro.batch.kernels import kernels_enabled
+
     grid = bench_grid(mode)
     warn_if_oversubscribed(jobs, what="bench")
+    # import NumPy before any case is timed (and before workers fork), so
+    # no case's first replay pays for the import
+    kernels_enabled()
     if jobs > 1:
         if progress is not None:
             progress(f"  {len(grid)} cases across {jobs} workers ...")
@@ -608,15 +622,37 @@ def _per_point_sweep(points) -> None:
         run_protocol(proto, validate=False, collect=False, backend="replay")
 
 
+def _cold_sweep_s(points, jobs: int) -> float:
+    """Best wall time of ``run_batch(points, jobs=jobs)``, each run on a
+    fresh, empty process-wide plan cache (restored afterwards)."""
+    from repro.batch import run_batch
+    from repro.plan import cache as plan_cache
+
+    saved = plan_cache.default_cache()
+
+    def sweep():
+        plan_cache.configure(mode="mem")
+        run_batch(points, jobs=jobs)
+
+    try:
+        return _best_of(sweep, budget_s=2.0)
+    finally:
+        plan_cache._DEFAULT = saved
+
+
 def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
-    """The ``"bench_batch"`` section (schema ``/6``): two measurements,
-    two gates.
+    """The ``"bench_batch"`` section (schema ``/6``): three
+    measurements, three gates.
 
     * **sweep gate** — wall time of the 64-point :func:`batch_grid`
-      through :func:`repro.batch.run_batch` vs the per-point
+      through :func:`repro.batch.run_batch` at *jobs* vs the per-point
       ``run_protocol(backend="replay")`` sweep it replaces, both with
       every plan already cached (the gate measures execution, not
       compilation).  Must clear :data:`BATCH_GATE_MIN_SPEEDUP`.
+    * **parallel gate** — the same grid from a cold plan cache at
+      ``jobs=2`` vs ``jobs=1``.  Must clear
+      :data:`BATCH_PARALLEL_GATE_MIN_SPEEDUP` when the host has at
+      least two CPUs; recorded as skipped on one.
     * **kernel gate** — one strict BCAST replay at *kernel_n* with the
       NumPy kernels vs the pure-Python passes (forced via
       ``REPRO_NUMPY=off``).  Must clear
@@ -629,6 +665,24 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
     from repro.turbo.replay import replay_plan
 
     points = batch_grid()
+    parallel: dict = {
+        "jobs": 2,
+        "min_speedup": BATCH_PARALLEL_GATE_MIN_SPEEDUP,
+        "skipped": (os.cpu_count() or 1) < 2,
+    }
+    if parallel["skipped"]:
+        parallel.update(serial_s=None, parallel_s=None, speedup=None, ok=True)
+    else:
+        serial_s = _cold_sweep_s(points, 1)
+        parallel_s = _cold_sweep_s(points, 2)
+        parallel_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+        parallel.update(
+            serial_s=round(serial_s, 6),
+            parallel_s=round(parallel_s, 6),
+            speedup=round(parallel_speedup, 3),
+            ok=parallel_speedup >= BATCH_PARALLEL_GATE_MIN_SPEEDUP,
+        )
+
     # warm the plan cache so neither side pays compilation
     for point in points:
         build_plan(point.family, point.n, point.m, as_time(point.lam))
@@ -679,12 +733,14 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
         "per_point_s": round(per_point_s, 6),
         "batch_s": round(batch_s, 6),
         "speedup": round(speedup, 3),
+        "parallel": parallel,
         "kernel": kernel,
         "gate": {
             "min_speedup": BATCH_GATE_MIN_SPEEDUP,
             "sweep_ok": sweep_ok,
+            "parallel_ok": parallel["ok"],
             "kernel_ok": kernel_ok,
-            "ok": sweep_ok and kernel_ok,
+            "ok": sweep_ok and parallel["ok"] and kernel_ok,
         },
     }
 

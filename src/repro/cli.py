@@ -438,15 +438,27 @@ def cmd_bench(args: argparse.Namespace) -> int:
     if args.batch:
         from repro.bench import bench_batch
 
-        batch = bench_batch()
+        batch = bench_batch(jobs=jobs)
         bg = batch["gate"]
-        bv = "PASS" if bg["ok"] else "FAIL"
+        bv = "PASS" if bg["sweep_ok"] else "FAIL"
         print(
             f"batch gate: run_batch >= {bg['min_speedup']:.0f}x per-point "
-            f"replay over {batch['points']} points — measured "
-            f"{batch['speedup']:.2f}x (per-point {batch['per_point_s']:.4f}s, "
-            f"batch {batch['batch_s']:.4f}s) [{bv}]"
+            f"replay over {batch['points']} points at jobs={jobs} — "
+            f"measured {batch['speedup']:.2f}x (per-point "
+            f"{batch['per_point_s']:.4f}s, batch {batch['batch_s']:.4f}s) "
+            f"[{bv}]"
         )
+        par = batch["parallel"]
+        if par["skipped"]:
+            print("parallel gate: one CPU — no parallel sweep to time [SKIP]")
+        else:
+            pv = "PASS" if par["ok"] else "FAIL"
+            print(
+                f"parallel gate: cold-cache run_batch at jobs=2 >= "
+                f"{par['min_speedup']:.1f}x jobs=1 — measured "
+                f"{par['speedup']:.2f}x (jobs=1 {par['serial_s']:.4f}s, "
+                f"jobs=2 {par['parallel_s']:.4f}s) [{pv}]"
+            )
         kernel = batch["kernel"]
         kg = kernel["gate"]
         if kernel["numpy_s"] is None:
@@ -1164,9 +1176,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--batch",
         action="store_true",
-        help="measure the batch tier (repro.batch): 64-point sweep vs "
-        "per-point replay plus the NumPy-kernel gate at BCAST n=10^5 "
-        "(the bench_batch section)",
+        help="measure the batch tier (repro.batch): 64-point sweep at "
+        "--jobs vs per-point replay, cold-cache jobs=2 vs jobs=1 (on 2+ "
+        "CPUs), plus the NumPy-kernel gate at BCAST n=10^5 (the "
+        "bench_batch section)",
     )
     p.add_argument(
         "--tune",

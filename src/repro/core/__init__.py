@@ -20,11 +20,9 @@ Contents:
 """
 
 from repro.core.fibfunc import (
-    FibPrefix,
     GeneralizedFibonacci,
     postal_F,
     postal_f,
-    tabulate,
 )
 from repro.core.schedule import Schedule, SendEvent
 from repro.core.bcast import bcast_schedule, bcast_tree
@@ -32,11 +30,9 @@ from repro.core.multi import repeat_schedule, pack_schedule, pipeline_schedule
 from repro.core.dtree import dtree_schedule, DTreeShape
 
 __all__ = [
-    "FibPrefix",
     "GeneralizedFibonacci",
     "postal_F",
     "postal_f",
-    "tabulate",
     "Schedule",
     "SendEvent",
     "bcast_schedule",

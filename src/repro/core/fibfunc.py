@@ -36,6 +36,7 @@ Special cases, as in the paper:
 from __future__ import annotations
 
 import bisect
+import heapq
 from collections import OrderedDict
 from fractions import Fraction
 from typing import Iterable, Iterator
@@ -46,87 +47,70 @@ from repro.types import Time, TimeLike, ZERO, as_time, time_repr
 
 __all__ = [
     "GeneralizedFibonacci",
-    "FibPrefix",
     "IntPrefix",
     "check_informed_bound",
     "postal_F",
     "postal_f",
-    "tabulate",
     "cache_info",
     "clear_cache",
 ]
 
 
-class FibPrefix:
-    """An immutable snapshot of the ``F_lambda`` jump table on
-    ``[0, up_to_t]`` — the whole prefix materialized in one pass by
-    :meth:`GeneralizedFibonacci.tabulate` / :func:`tabulate`.
+class IntPrefix:
+    """The ``F_lambda`` jump table on ``[0, f_lambda(n)]`` in integer
+    ticks, tabulated directly, plus a split memo.
 
-    The schedule compilers (:mod:`repro.plan.build`, via an
-    integer-rescaled copy) query ``F`` and ``f`` thousands of times in
-    their inner loops; against a live :class:`GeneralizedFibonacci` every
-    call re-checks the horizon and re-dispatches.  A prefix is two
-    parallel tuples and raw :mod:`bisect` lookups — nothing else.
+    With ``lambda = p/q`` in lowest terms, one time unit is ``q`` ticks
+    and lambda is ``p`` ticks, so the jump grid ``{a + b*lambda}`` is the
+    tick set ``{a*q + b*p}``.  On it ``F = 1`` below tick ``p`` and
+    ``F(t) = F(t - q) + F(t - p)`` from ``p`` on.  The grid comes off a
+    heap in increasing order, and ``F`` at ``t - q`` and ``t - p`` is read
+    through two pointers that only move forward, so the table costs a
+    heap push and pop per grid point and no ``Fraction`` at all.
+
+    The schedule compilers (:mod:`repro.plan.build`) take BCAST split
+    points from it, and :func:`check_informed_bound` reads its jump
+    table.  :class:`GeneralizedFibonacci` stays the independent
+    ``Fraction`` witness the tests pin this table against.
 
     Attributes:
-        times: jump times, ascending (``times[0] == 0``).
-        values: ``F_lambda`` at each jump time, strictly increasing.
-    """
-
-    __slots__ = ("times", "values")
-
-    def __init__(self, times: tuple[Time, ...], values: tuple[int, ...]):
-        self.times = times
-        self.values = values
-
-    def value_at(self, t: Time) -> int:
-        """``F_lambda(t)``; *t* must lie within the tabulated prefix."""
-        return self.values[bisect.bisect_right(self.times, t) - 1]
-
-    def index(self, n: int) -> Time:
-        """``f_lambda(n)``; *n* must not exceed the prefix's last value.
-
-        Raises:
-            InvalidParameterError: *n* is beyond the tabulated horizon
-                (use a live :class:`GeneralizedFibonacci` instead).
-        """
-        i = bisect.bisect_left(self.values, n)
-        if i == len(self.values):
-            raise InvalidParameterError(
-                f"f_lambda({n}) lies beyond this prefix "
-                f"(max tabulated value {self.values[-1]})"
-            )
-        return self.times[i]
-
-    def __len__(self) -> int:
-        return len(self.times)
-
-    def __repr__(self) -> str:
-        return (
-            f"FibPrefix({len(self.times)} jumps, "
-            f"up to t={self.times[-1]}, F={self.values[-1]})"
-        )
-
-
-class IntPrefix:
-    """A :class:`FibPrefix` with jump times rescaled to integer ticks
-    (``scale`` ticks per time unit), plus a split memo.
-
-    Every jump time lies on the grid ``{a + b*lambda}``, so any multiple
-    of lambda's denominator is a lossless *scale*.  The schedule
-    compilers (:mod:`repro.plan.build`) take BCAST split points from it
-    and :func:`check_informed_bound` reads its jump table: zero
-    ``Fraction`` arithmetic in either inner loop.
+        times: jump ticks, ascending (``times[0] == 0``).
+        values: ``F_lambda`` at each jump, strictly increasing; the last
+            is the first value ``>= n``.
+        scale: ticks per time unit, lambda's denominator.
     """
 
     __slots__ = ("times", "values", "scale", "_memo")
 
-    def __init__(self, prefix: FibPrefix, scale: int):
-        self.times = [
-            t.numerator * (scale // t.denominator) for t in prefix.times
-        ]
-        self.values = list(prefix.values)
-        self.scale = scale
+    def __init__(self, lam: TimeLike, n: int):
+        lam = as_time(lam)
+        q, p = lam.denominator, lam.numerator
+        times = [0]
+        values = [1]
+        iq = ip = 0  # last jumps at or before t - q and t - p
+        heap = [q, p]
+        last = 0
+        while values[-1] < n:
+            t = heapq.heappop(heap)
+            if t == last:
+                continue  # a*q + b*p reached along two lattice paths
+            last = t
+            heapq.heappush(heap, t + q)
+            heapq.heappush(heap, t + p)
+            if t < p:
+                continue  # F = 1 below lambda
+            top = len(times) - 1
+            while iq < top and times[iq + 1] <= t - q:
+                iq += 1
+            while ip < top and times[ip + 1] <= t - p:
+                ip += 1
+            value = values[iq] + values[ip]
+            if value != values[-1]:
+                times.append(t)
+                values.append(value)
+        self.times = times
+        self.values = values
+        self.scale = q
         self._memo: dict[int, int] = {}
 
     def split(self, size: int) -> int:
@@ -240,22 +224,6 @@ class GeneralizedFibonacci(StepFunction):
         i = bisect.bisect_left(self._values, n)
         return self._times[i]
 
-    def tabulate(self, up_to_t: TimeLike) -> FibPrefix:
-        """The whole ``F_lambda`` prefix on ``[0, up_to_t]`` in one pass.
-
-        One table extension, one slice — then every lookup on the
-        returned :class:`FibPrefix` is a raw bisect with no horizon
-        checks, which is what the schedule builders' inner loops want.
-        """
-        t = as_time(up_to_t)
-        if t < 0:
-            raise InvalidParameterError(
-                f"F_lambda is defined for t >= 0, got {t}"
-            )
-        self._extend_to(t)
-        i = bisect.bisect_right(self._times, t)
-        return FibPrefix(tuple(self._times[:i]), tuple(self._values[:i]))
-
     def jump_times(self, up_to: Time) -> Iterable[Time]:
         self._extend_to(up_to)
         i = bisect.bisect_right(self._times, up_to)
@@ -320,19 +288,6 @@ def postal_f(lam: TimeLike, n: int) -> Fraction:
     return _cached(lam).index(n)
 
 
-def tabulate(lam: TimeLike, up_to_t: TimeLike) -> FibPrefix:
-    """The whole ``F_lambda`` prefix on ``[0, up_to_t]`` in one pass,
-    served from the shared per-``lambda`` cache.
-
-    See :class:`FibPrefix`; typical usage pairs it with :func:`postal_f`
-    for the horizon, e.g. the BCAST split point ``F(f(size) - 1)``::
-
-        prefix = tabulate(lam, postal_f(lam, n))
-        j = prefix.value_at(prefix.index(size) - 1)
-    """
-    return _cached(lam).tabulate(up_to_t)
-
-
 def check_informed_bound(
     lam: TimeLike, scale: int, msgs: Iterable[int], arrivals: Iterable[int]
 ) -> None:
@@ -360,8 +315,10 @@ def check_informed_bound(
         return
     top = 1 + max(map(len, per_msg.values()))
     # tabulated up to f(top): beyond it F_lambda(t) >= top >= any count
-    prefix = IntPrefix(tabulate(lam, postal_f(lam, top)), scale)
-    times, values = prefix.times, prefix.values
+    prefix = IntPrefix(lam, top)
+    factor = scale // prefix.scale
+    times = [t * factor for t in prefix.times]
+    values = prefix.values
     for k in sorted(per_msg):
         ticks = sorted(per_msg[k])
         for j in range(len(values) - 1):

@@ -27,12 +27,11 @@ rational lambda (binary floats such as ``2.1`` included) builds.  The
 independent witnesses are the event-driven protocols on the exact
 engine, the closed-form oracles and the :mod:`repro.core.optimal` DP.
 
-Split points ``j = F_lambda(f_lambda(size) - 1)`` come from an
-integer-rescaled copy of the one-pass
-:class:`~repro.core.fibfunc.FibPrefix`
-(:class:`~repro.core.fibfunc.IntPrefix`) with a per-size memo — the
-recursion revisits only ``O(log^2 n)`` distinct subrange sizes, so
-split cost vanishes from the profile.
+Split points ``j = F_lambda(f_lambda(size) - 1)`` come from
+:class:`~repro.core.fibfunc.IntPrefix`, the ``F_lambda`` jump table
+tabulated directly in ticks at lambda's denominator, with a per-size
+memo — the recursion revisits only ``O(log^2 n)`` distinct subrange
+sizes, so split cost vanishes from the profile.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from repro.core.dtree import DTreeShape, resolve_degree
-from repro.core.fibfunc import GeneralizedFibonacci, IntPrefix, postal_f
+from repro.core.fibfunc import IntPrefix, postal_f
 from repro.core.multi import pipeline_variant
 from repro.core.schedule import Schedule, SendEvent
 from repro.errors import InvalidParameterError
@@ -55,16 +54,8 @@ __all__ = [
     "plan_families",
     "collective_plan_families",
     "plan_m",
+    "plan_sends",
 ]
-
-
-def _int_prefix(lam_eff: Time, n: int) -> IntPrefix:
-    """The ``F_{lam_eff}`` prefix up to ``f_{lam_eff}(n)``, integer-
-    rescaled at ``lam_eff``'s own denominator (every jump time lies on
-    the grid ``{a + b*lam_eff}``, so that scale is lossless)."""
-    fib = GeneralizedFibonacci(lam_eff)
-    prefix = fib.tabulate(fib.index(n))
-    return IntPrefix(prefix, lam_eff.denominator)
 
 
 def _ticks(scale: int, value: Time) -> int:
@@ -122,7 +113,7 @@ def _compile_bcast(n: int, m: int, lam: Time, scale: int) -> list[int]:
         )
     keys: list[int] = []
     if n >= 2:
-        sp = _int_prefix(lam, n)
+        sp = IntPrefix(lam, n)
         _bcast_keys(
             keys, sp, 0, n, 0, scale, _ticks(scale, lam), n, 1, 0
         )
@@ -132,7 +123,7 @@ def _compile_bcast(n: int, m: int, lam: Time, scale: int) -> list[int]:
 def _compile_repeat(n: int, m: int, lam: Time, scale: int) -> list[int]:
     keys: list[int] = []
     if n >= 2:
-        sp = _int_prefix(lam, n)
+        sp = IntPrefix(lam, n)
         one = scale
         lam_ticks = _ticks(scale, lam)
         # iteration stride f_lambda(n) - (lambda - 1), exact (Lemma 10)
@@ -155,7 +146,7 @@ def _compile_pack(n: int, m: int, lam: Time, scale: int) -> list[int]:
         return keys
     q = scale
     lam_packed = 1 + (lam - 1) / m
-    sp = _int_prefix(lam_packed, n)
+    sp = IntPrefix(lam_packed, n)
     one_abs = q * m
     lam_abs = one_abs + (_ticks(scale, lam) - q)  # lambda' at scale q*m
     split = sp.split
@@ -192,7 +183,7 @@ def _compile_pipeline(
         return keys
     sender_first = m <= lam
     lam_p = (lam / m) if sender_first else (Time(m) / lam)
-    sp = _int_prefix(lam_p, n)
+    sp = IntPrefix(lam_p, n)
     one = scale
     m_ticks = m * one
     lam_ticks = _ticks(scale, lam)
@@ -425,20 +416,21 @@ _BUILDER_FAMILIES = (
     "REPEAT",
 )
 
-#: Collective family -> (compiler, message-count rule).  The rule maps
-#: ``n`` to the plan's message-index space: personalized collectives use
-#: one index per source/destination, allgathers one per rumor, and the
-#: combine-shaped ones a single logical message.
+#: Collective family -> (compiler, message-count rule, send-count rule).
+#: The message rule maps ``n`` to the plan's message-index space:
+#: personalized collectives use one index per source/destination,
+#: allgathers one per rumor, and the combine-shaped ones a single
+#: logical message.  The send rule is the plan's length at ``n >= 1``.
 _COLLECTIVE_COMPILERS = {
-    "ALLGATHER": (_compile_allgather, lambda n: max(1, n)),
-    "ALLREDUCE": (_compile_combine_bcast, lambda n: 1),
-    "ALLTOALL": (_compile_alltoall, lambda n: max(1, n - 1)),
-    "BARRIER": (_compile_combine_bcast, lambda n: 1),
-    "BRUCK-ALLGATHER": (_compile_bruck, lambda n: max(1, n)),
-    "GATHER": (_compile_gather, lambda n: max(1, n - 1)),
-    "GOSSIP-RING": (_compile_gossip, lambda n: max(1, n)),
-    "REDUCE": (_compile_reduce, lambda n: 1),
-    "SCATTER": (_compile_scatter, lambda n: max(1, n - 1)),
+    "ALLGATHER": (_compile_allgather, lambda n: max(1, n), lambda n: n * n - 1),
+    "ALLREDUCE": (_compile_combine_bcast, lambda n: 1, lambda n: 2 * (n - 1)),
+    "ALLTOALL": (_compile_alltoall, lambda n: max(1, n - 1), lambda n: n * (n - 1)),
+    "BARRIER": (_compile_combine_bcast, lambda n: 1, lambda n: 2 * (n - 1)),
+    "BRUCK-ALLGATHER": (_compile_bruck, lambda n: max(1, n), lambda n: n * (n - 1)),
+    "GATHER": (_compile_gather, lambda n: max(1, n - 1), lambda n: n - 1),
+    "GOSSIP-RING": (_compile_gossip, lambda n: max(1, n), lambda n: n * (n - 1)),
+    "REDUCE": (_compile_reduce, lambda n: 1, lambda n: n - 1),
+    "SCATTER": (_compile_scatter, lambda n: max(1, n - 1), lambda n: n - 1),
 }
 _DTREE_SHAPES = {
     "DTREE-LINE": DTreeShape.LINE,
@@ -494,6 +486,22 @@ def plan_m(family: str, n: int, m: int) -> int:
             f"at n={n} carries m={m_eff} message indices (got m={m})"
         )
     return m_eff
+
+
+def plan_sends(family: str, n: int, m: int) -> int:
+    """The number of sends the plan for canonical *family* at ``(n, m)``
+    carries, without compiling it (``m`` as :func:`plan_m` returns it).
+
+    A broadcast delivers each of its ``m`` messages to each of the
+    ``n - 1`` other processors exactly once; a collective's count is its
+    shape's closed form.  ``run_batch`` balances its shards on this.
+    """
+    if n < 2:
+        return 0
+    entry = _COLLECTIVE_COMPILERS.get(family)
+    if entry is None:
+        return m * (n - 1)
+    return entry[2](n)
 
 
 def canonical_family(family: str, n: int, m: int, lam: TimeLike) -> str:
@@ -607,7 +615,7 @@ def compile_plan(
 
     entry = _COLLECTIVE_COMPILERS.get(fam)
     if entry is not None:
-        compiler, _ = entry
+        compiler = entry[0]
         m_eff = plan_m(fam, n, m)
         keys = compiler(n, m_eff, lam, domain.scale)
         plan = SchedulePlan.from_sorted_keys(fam, n, m_eff, lam, domain, keys)

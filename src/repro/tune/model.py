@@ -27,6 +27,7 @@ job counts, and machines.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 from repro.conformance.oracles import REGISTRY
 from repro.errors import InvalidParameterError, TuningError
@@ -187,6 +188,37 @@ def _plan_compilable(family: str, n: int, m: int, lam: Time) -> bool:
     return True
 
 
+@lru_cache(maxsize=1024)
+def _derive_selection(
+    workload: str,
+    n: int,
+    m: int,
+    lam: Time,
+    policy: str,
+    calibrate: bool,
+    require_plan: bool,
+) -> str:
+    """:func:`select_protocol`'s derived answer, memoized per query.
+
+    The answer is an exact function of the arguments (the ranking reads
+    exact completion times, never a wall clock), so a repeated ``auto``
+    query costs a lookup instead of a re-rank and its turbo
+    calibrations.  :func:`rank` is looked up at call time, so a wrapped
+    ``rank`` sees every derivation and no repeat.
+    """
+    ranking = rank(workload, n, m, lam, policy=policy, calibrate=calibrate)
+    if require_plan:
+        ranking = [
+            c for c in ranking if _plan_compilable(c.family, n, m, lam)
+        ]
+        if not ranking:
+            raise TuningError(
+                f"no plan-compilable family is applicable to workload="
+                f"{workload!r} at (n={n}, m={m}, lambda={lam})"
+            )
+    return ranking[0].family
+
+
 def select_protocol(
     workload: str,
     n: int,
@@ -203,9 +235,10 @@ def select_protocol(
     With *table* (a :class:`~repro.tune.table.TuningTable`), an exact
     query match short-circuits derivation and returns the committed
     winner; otherwise the ranking is derived on the spot via
-    :func:`rank`.  *require_plan* restricts the choice to families the
-    plan layer can compile (what ``run_batch`` and the replay backend
-    need).
+    :func:`rank`, once per distinct query per process (later calls are
+    served from a bounded memo).  *require_plan* restricts the choice to
+    families the plan layer can compile (what ``run_batch`` and the
+    replay backend need).
 
     Raises:
         InvalidParameterError: unknown workload, or ``n < 2``.
@@ -218,20 +251,10 @@ def select_protocol(
                 entry.winner, n, m, as_time(lam)
             ):
                 return entry.winner
-    ranking = rank(
-        workload, n, m, lam, policy=policy, calibrate=calibrate
+    return _derive_selection(
+        _check_workload(workload), n, m, as_time(lam), policy, calibrate,
+        require_plan,
     )
-    if require_plan:
-        lam_t = as_time(lam)
-        ranking = [
-            c for c in ranking if _plan_compilable(c.family, n, m, lam_t)
-        ]
-        if not ranking:
-            raise TuningError(
-                f"no plan-compilable family is applicable to workload="
-                f"{workload!r} at (n={n}, m={m}, lambda={as_time(lam)})"
-            )
-    return ranking[0].family
 
 
 def auto_workload(family: str) -> "str | None":

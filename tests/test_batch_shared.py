@@ -1,7 +1,7 @@
 """Shared-memory plan distribution: zero-copy fidelity and crash safety.
 
-Three properties of :mod:`repro.batch.shared` are load-bearing for the
-batch engine:
+Three properties of :mod:`repro.batch.shared` (the plan transport of
+the conformance fuzzer's ``--batch`` sweep) are load-bearing:
 
 * **fidelity** — a plan rebuilt from a shared segment
   (:meth:`SchedulePlan.from_shared`) is *equal* to the original and
@@ -11,10 +11,13 @@ batch engine:
   any process) merely close their own mapping, so release order never
   races;
 * **crash safety** — segments are unlinked even when workers die hard
-  (``os._exit`` mid-batch): distribution is wrapped in ``try/finally``
-  in :func:`repro.batch.run_batch`, and POSIX keeps attached mappings
-  alive in survivors after the unlink.  No test here may leave a
-  segment behind — the leak assertions scan ``/dev/shm`` directly.
+  (``os._exit`` mid-batch): the owner releases in a ``finally``, and
+  POSIX keeps attached mappings alive in survivors after the unlink.
+  No test here may leave a segment behind — the leak assertions scan
+  ``/dev/shm`` directly.
+
+:func:`repro.batch.run_batch` itself ships no plans (its workers
+compile their own); its worker-crash retry is pinned here too.
 """
 
 import multiprocessing
@@ -172,24 +175,29 @@ _MAIN_PID = os.getpid()
 _REAL_WORKER = batch_runner._batch_worker
 
 
-def _crashing_worker(item):
+def _crashing_worker(point):
     """Kills every pool worker instantly; behaves normally in-parent so
     the deterministic serial retry still yields correct results."""
     if os.getpid() != _MAIN_PID:
         os._exit(13)
-    return _REAL_WORKER(item)
+    return _REAL_WORKER(point)
 
 
 def test_run_batch_survives_worker_crash_without_leaking(monkeypatch):
     """Hard-crash every pool worker mid-batch: run_batch must fall back
-    to the serial retry (identical results) and its ``finally`` must
-    unlink every plan segment."""
+    to the serial retry, whose results equal ``jobs=1``, and leave no
+    segment behind."""
     monkeypatch.setattr(batch_runner, "_batch_worker", _crashing_worker)
-    points = [BatchPoint("BCAST", n, 1, "2") for n in (8, 16, 24, 32)]
+    monkeypatch.setattr(batch_runner, "SHARD_MIN_SENDS", 0)
+    points = [
+        BatchPoint("BCAST", n, 1, "2", policy)
+        for n in (8, 16, 24, 32)
+        for policy in ("strict", "queued")
+    ]
     before = _segments()
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        got = run_batch(points, jobs=2, transport="shared")
+        got = run_batch(points, jobs=2)
     assert _segments() <= before, "run_batch leaked a segment after crash"
     monkeypatch.setattr(batch_runner, "_batch_worker", _REAL_WORKER)
     assert got == run_batch(points, jobs=1)

@@ -13,6 +13,7 @@ from repro import bench, parallel
 from repro.bench import (
     BATCH_GATE_MIN_SPEEDUP,
     BATCH_KERNEL_GATE_MIN_SPEEDUP,
+    BATCH_PARALLEL_GATE_MIN_SPEEDUP,
     BenchCase,
     BenchResult,
     REPLAY_GATE_MIN_SPEEDUP,
@@ -183,9 +184,72 @@ def test_bench_batch_section_shape():
         # no kernels (absent or REPRO_NUMPY=off): vacuous, never a failure
         assert kernel["numpy_s"] is None and kernel["speedup"] is None
         assert kernel["gate"]["ok"] is True
+    parallel = section["parallel"]
+    assert parallel["jobs"] == 2
+    assert parallel["min_speedup"] == BATCH_PARALLEL_GATE_MIN_SPEEDUP == 1.0
+    if (os.cpu_count() or 1) >= 2:
+        assert parallel["skipped"] is False
+        assert parallel["serial_s"] > 0 and parallel["parallel_s"] > 0
+        assert parallel["ok"] == (parallel["speedup"] >= 1.0)
+    assert section["gate"]["parallel_ok"] == parallel["ok"]
     assert section["gate"]["ok"] == (
-        section["gate"]["sweep_ok"] and section["gate"]["kernel_ok"]
+        section["gate"]["sweep_ok"]
+        and section["gate"]["parallel_ok"]
+        and section["gate"]["kernel_ok"]
     )
+
+
+def test_parallel_gate_is_skipped_on_one_cpu(monkeypatch):
+    monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+    timed = []
+    monkeypatch.setattr(
+        bench, "_cold_sweep_s", lambda points, jobs: timed.append(jobs)
+    )
+    monkeypatch.setattr(bench, "_best_of", lambda fn, **kwargs: 1.0)
+    section = bench_batch(kernel_n=64)
+    assert timed == []  # no cold sweep timed at all
+    assert section["parallel"]["skipped"] is True
+    assert section["parallel"]["speedup"] is None
+    assert section["gate"]["parallel_ok"] is True
+
+
+def test_cold_sweep_restores_the_plan_cache():
+    from repro.plan import cache as plan_cache
+
+    before = plan_cache.default_cache()
+    assert bench._cold_sweep_s(batch_grid()[:2], 1) > 0
+    assert plan_cache.default_cache() is before
+
+
+def test_bench_cli_forwards_jobs_to_the_batch_section(monkeypatch, capsys):
+    from repro.cli import main
+
+    seen = {}
+
+    def fake_batch(**kwargs):
+        seen.update(kwargs)
+        return {
+            "points": 64, "speedup": 9.0, "per_point_s": 0.9,
+            "batch_s": 0.1,
+            "parallel": {"skipped": False, "ok": True, "speedup": 1.8,
+                         "min_speedup": 1.0, "serial_s": 0.6,
+                         "parallel_s": 0.33},
+            "kernel": {"numpy_s": None, "numpy": None, "gate": {"ok": True}},
+            "gate": {"min_speedup": 3.0, "sweep_ok": True, "ok": True},
+        }
+
+    monkeypatch.setattr(bench, "run_bench", lambda *a, **k: _fake_results())
+    monkeypatch.setattr(bench, "bench_batch", fake_batch)
+    monkeypatch.setattr(parallel, "_warned_oversubscribed", True)
+    code = main([
+        "bench", "--smoke", "--batch", "--plan-n", "0",
+        "--resilience-n", "0", "--replay-n", "0", "--jobs", "2",
+    ])
+    out = capsys.readouterr().out
+    assert seen == {"jobs": 2}
+    assert "at jobs=2" in out
+    assert "parallel gate: cold-cache run_batch at jobs=2" in out
+    assert code == 0
 
 
 def test_to_json_carries_batch_section():

@@ -4,8 +4,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.fibfunc import GeneralizedFibonacci, postal_F, postal_f
+from repro.core.fibfunc import GeneralizedFibonacci, IntPrefix, postal_F, postal_f
 from repro.errors import InvalidParameterError
 
 from tests.grids import LAMBDAS, SIZES
@@ -225,3 +227,45 @@ class TestModuleCache:
         before = postal_f(Fraction(5, 2), 14)
         postal_f(3, 14)  # evicts 5/2
         assert postal_f(Fraction(5, 2), 14) == before
+
+
+class TestIntPrefix:
+    """The integer-tick table the compilers and the Lemma 5 check read,
+    pinned against the independent ``Fraction`` tabulation."""
+
+    @staticmethod
+    def _witness(lam, n):
+        fib = GeneralizedFibonacci(lam)
+        jumps = fib.jump_times(fib.index(n))
+        scale = Fraction(lam).denominator
+        return [t * scale for t in jumps], [fib.value_at(t) for t in jumps]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        lam=st.one_of(
+            st.builds(
+                Fraction,
+                st.integers(1, 60),
+                st.integers(1, 12),
+            ).filter(lambda x: x >= 1),
+            st.just(Fraction(2.1)),
+        ),
+        n=st.integers(1, 10**6),
+    )
+    def test_matches_the_fraction_tabulation(self, lam, n):
+        table = IntPrefix(lam, n)
+        times, values = self._witness(lam, n)
+        assert table.scale == lam.denominator
+        assert table.times == times
+        assert table.values == values
+
+    @pytest.mark.parametrize("lam", ["1", "2", "5/2", "13/12", 2.1])
+    def test_split_is_F_one_unit_before_f(self, lam):
+        table = IntPrefix(lam, 500)
+        for size in range(2, 501):
+            assert table.split(size) == postal_F(lam, postal_f(lam, size) - 1)
+
+    def test_first_value_reaches_n(self):
+        for n in (1, 2, 3, 1000):
+            assert IntPrefix("5/2", n).values[-1] >= n
+        assert IntPrefix("5/2", 1).times == [0]

@@ -137,6 +137,53 @@ class TestSelect:
                 workload, n, lam=lam, require_plan=True
             ) == select_protocol(workload, n, lam=lam)
 
+    @pytest.fixture
+    def fresh_memo(self):
+        from repro.tune.model import _derive_selection
+
+        _derive_selection.cache_clear()
+        yield _derive_selection
+        _derive_selection.cache_clear()
+
+    def test_repeated_query_runs_no_calibration(self, monkeypatch, fresh_memo):
+        import repro.tune.model as model
+        from repro.tune.calibrate import measure
+
+        runs = []
+
+        def counting_measure(*args, **kwargs):
+            runs.append(args)
+            return measure(*args, **kwargs)
+
+        monkeypatch.setattr(model, "measure", counting_measure)
+        first = select_protocol("broadcast", 14, lam="5/2")
+        assert runs  # the tie at f_{5/2}(14) is calibrated once
+        runs.clear()
+        # the same query, spelled differently, is served from the memo
+        assert select_protocol(" Broadcast", 14, lam=Fraction(5, 2)) == first
+        assert runs == []
+        assert fresh_memo.cache_info().hits == 1
+
+    def test_memoized_answers_equal_fresh_ones(self, fresh_memo):
+        from repro.bench import TUNE_GATE_POINTS
+
+        for policy in ("strict", "queued"):
+            for n, m, lam in TUNE_GATE_POINTS:
+                fresh = rank("broadcast", n, m, lam, policy=policy)[0].family
+                for _ in range(2):  # a miss, then a hit
+                    assert select_protocol(
+                        "broadcast", n, m=m, lam=lam, policy=policy
+                    ) == fresh
+        info = fresh_memo.cache_info()
+        assert (info.hits, info.misses) == (12, 12)
+        assert info.maxsize == 1024  # bounded
+
+    def test_failed_query_is_not_memoized(self, fresh_memo):
+        for _ in range(2):
+            with pytest.raises(InvalidParameterError):
+                select_protocol("broadcast", 1, lam=2)
+        assert fresh_memo.cache_info().currsize == 0
+
     def test_auto_workload_spec(self):
         assert auto_workload("auto") == "broadcast"
         assert auto_workload("auto:allgather") == "allgather"
