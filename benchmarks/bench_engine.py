@@ -1,7 +1,10 @@
 """ENG — substrate sanity: discrete-event engine throughput, plus the
-Fraction-vs-float clock ablation called out in DESIGN.md.
+Fraction-vs-float *input* ablation called out in DESIGN.md.
 
-Not a paper artifact; establishes that the exact-arithmetic choice costs a
+Neither variant runs a float clock: the engine counts integer ticks at
+the LCM of the denominators it has seen, so a float delay is converted
+to its exact dyadic ``Fraction`` and then to ticks.  Not a paper
+artifact; establishes that the exact-arithmetic choice costs a
 tolerable constant factor while buying equality-grade reproduction.
 """
 
@@ -33,8 +36,8 @@ def test_timeout_throughput_fraction(benchmark):
 
 def test_timeout_throughput_float_ablation(benchmark):
     """Ablation: the same workload with float delays (the engine converts
-    them to exact Fractions; this measures the conversion overhead for
-    dyadic values)."""
+    them to exact Fractions, then to ticks; this measures the conversion
+    overhead for dyadic values)."""
     result = benchmark(_pingpong, 2000, 2.5)
     assert result == 5000
 

@@ -35,7 +35,7 @@ def originate(
     """
     fib = protocol_fib
     while size > 1:
-        j = fib.value_at(fib.index(size) - 1)  # 1 <= j <= size-1 (Lemma 3)
+        j = fib.split(size)  # 1 <= j <= size-1 (Lemma 3)
         target = me + j
         # the recipient will originate for the upper part of the range
         yield system.send(me, target, msg, payload=(target, size - j))

@@ -51,7 +51,7 @@ class PackProtocol(Protocol):
     def _forward_pack(self, system: PostalSystem, me: ProcId, size: int):
         fib = self._fib
         while size > 1:
-            j = fib.value_at(fib.index(size) - 1)
+            j = fib.split(size)
             target = me + j
             for k in range(self.m):
                 yield system.send(

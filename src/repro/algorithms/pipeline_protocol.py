@@ -75,7 +75,7 @@ class PipelineProtocol(Protocol):
         """
         fib = self._fib
         while size > 1:
-            j = fib.value_at(fib.index(size) - 1)  # larger side
+            j = fib.split(size)  # larger side
             if self._sender_first:
                 keep, give = j, size - j
             else:

@@ -126,7 +126,7 @@ class AllgatherProtocol(Protocol):
         size = self.n
         me = self.root
         while size > 1:
-            j = self._fib.value_at(self._fib.index(size) - 1)
+            j = self._fib.split(size)
             keep, give = (j, size - j) if self._sender_first else (size - j, j)
             target = me + keep
             for k in range(self.n):
@@ -163,7 +163,7 @@ class AllgatherProtocol(Protocol):
         assert me == proc
         known[k0] = v0
         while size > 1:
-            j = self._fib.value_at(self._fib.index(size) - 1)
+            j = self._fib.split(size)
             keep, give = (j, size - j) if self._sender_first else (size - j, j)
             target = me + keep
             for k in range(self.n):

@@ -149,6 +149,7 @@ class GeneralizedFibonacci(StepFunction):
         self._times: list[Time] = [ZERO]
         self._values: list[int] = [1]
         self._horizon: Time = lam  # table is correct for t < horizon
+        self._splits: dict[int, int] = {}
 
     @property
     def lam(self) -> Time:
@@ -223,6 +224,20 @@ class GeneralizedFibonacci(StepFunction):
             self._extend_to(self._horizon * 2)
         i = bisect.bisect_left(self._values, n)
         return self._times[i]
+
+    def split(self, size: int) -> int:
+        """Lemma 3's split of a range of ``size >= 2`` processors:
+        ``j = F_lambda(f_lambda(size) - 1)``, with ``1 <= j <= size - 1``.
+
+        BCAST's holder keeps the lower ``j`` processors and hands the
+        other ``size - j`` to the processor ``j`` places up.  Memoized
+        per instance: a broadcast asks once per send, for only a
+        handful of distinct sizes.
+        """
+        j = self._splits.get(size)
+        if j is None:
+            j = self._splits[size] = self.value_at(self.index(size) - 1)
+        return j
 
     def jump_times(self, up_to: Time) -> Iterable[Time]:
         self._extend_to(up_to)

@@ -174,7 +174,7 @@ class HierarchicalBcastProtocol:
         me = proc // c
         fib = self._fib_global
         while size > 1:
-            j = fib.value_at(fib.index(size) - 1)
+            j = fib.split(size)
             target_leader = me + j
             yield system.send(
                 proc, target_leader * c, 0, payload=(target_leader, size - j)
@@ -192,6 +192,6 @@ class HierarchicalBcastProtocol:
     def _local_originate(self, system, me: int, size: int):
         fib = self._fib_local
         while size > 1:
-            j = fib.value_at(fib.index(size) - 1)
+            j = fib.split(size)
             yield system.send(me, me + j, 0, payload=(None, size - j))
             size = j

@@ -1,8 +1,9 @@
 """Engine-level profiling: events processed, heap peak, wall time.
 
-The discrete-event engine's cost model is simple — one heap pop plus
-callbacks per event, with Fraction arithmetic dominating (see the
-performance notes in ``docs/simulator.md``).  :class:`EngineProfiler`
+The discrete-event engine's cost model is simple — one heap pop on
+integer tick keys plus callbacks per event, with the callbacks' own
+``Fraction`` arithmetic dominating (see the performance notes in
+``docs/simulator.md``).  :class:`EngineProfiler`
 instruments a live :class:`~repro.sim.engine.Environment` to measure
 exactly that: how many events a run processed, how deep the pending-event
 heap got, and how much wall time a simulated time unit costs.

@@ -45,7 +45,7 @@ from repro.core.schedule import Schedule, SendEvent
 from repro.errors import InvalidParameterError
 from repro.plan.columns import SchedulePlan
 from repro.turbo.ticks import TickDomain
-from repro.types import Time, TimeLike, as_time
+from repro.types import ZERO, Time, TimeLike, as_time
 
 __all__ = [
     "compile_plan",
@@ -670,9 +670,14 @@ def compile_schedule(
     keys.sort()
     events: list[SendEvent] = []
     append = events.append
+    # the keys are sorted, so equal ticks are adjacent: one Fraction each
+    tick: int | None = None
+    time = ZERO
     for key in keys:
         key, r = divmod(key, n)
         key, k = divmod(key, m)
         t, s = divmod(key, n)
-        append(SendEvent(Fraction(t, scale), s, k, r))
+        if t != tick:
+            tick, time = t, Fraction(t, scale)
+        append(SendEvent(time, s, k, r))
     return Schedule(n, lam, events, m=m, validate=validate)

@@ -10,13 +10,25 @@ Model (deliberately simpy-compatible in spirit):
 * The :class:`Environment` owns the clock and the pending-event heap.
   Scheduling is deterministic: ties in time break by scheduling order.
 
-The clock is an exact :class:`fractions.Fraction`; delays accept anything
+The clock is an integer tick count, ``scale`` ticks per time unit, where
+``scale`` is the LCM of every denominator the environment has been given
+(its initial time, each delay, each ``until``).  Heap keys are
+``(tick, priority, seq, event)`` and compare as plain ints, yet nothing
+is rounded: every time the run has seen is a whole number of ticks.  A
+delay whose denominator does not divide the scale grows it, multiplying
+the current tick and every pending tick by the same factor (which keeps
+their order, so the heap stays valid as it is).  Python ints have no
+width limit, so the scale has no cap.  ``now``, :meth:`Environment.peek`
+and ``Timeout.delay`` stay exact :class:`fractions.Fraction`\\ s — the
+clock builds one per distinct tick — and delays accept anything
 :func:`repro.types.as_time` accepts.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
+from fractions import Fraction
 from typing import Any, Callable, Generator, Optional
 
 from repro.errors import ProcessInterrupt, SimulationError
@@ -31,12 +43,6 @@ URGENT = 0
 NORMAL = 1
 
 PENDING = object()
-
-#: Cached ``as_time`` results for the delays that dominate postal runs
-#: (zero is handled separately — adding it would still allocate).  Keys
-#: are plain ints; ``dict.get`` finds them for equal ``Fraction``/float
-#: delays too, since equal numbers hash equal.
-_SMALL_DELAYS: dict[TimeLike, Time] = {i: as_time(i) for i in range(1, 17)}
 
 
 class Event:
@@ -133,7 +139,7 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: TimeLike, value: Any = None):
         super().__init__(env)
         d = as_time(delay)
-        if d < 0:
+        if d.numerator < 0:  # an int compare, not Fraction.__lt__
             raise SimulationError(f"negative timeout delay {d}")
         self.delay: Time = d
         self._ok = True
@@ -244,11 +250,16 @@ class Process(Event):
 
 
 class Environment:
-    """The simulation environment: exact clock + deterministic event loop."""
+    """The simulation environment: exact tick clock + deterministic event
+    loop."""
 
     def __init__(self, initial_time: TimeLike = 0):
-        self._now: Time = as_time(initial_time)
-        self._heap: list[tuple[Time, int, int, Event]] = []
+        start = as_time(initial_time)
+        #: ticks per time unit: the LCM of every denominator seen so far
+        self._scale = start.denominator
+        self._tick = start.numerator
+        self._now: Time = start
+        self._heap: list[tuple[int, int, int, Event]] = []
         self._seq = 0
         self._active_process: Process | None = None
 
@@ -276,36 +287,59 @@ class Environment:
         """Start *generator* as a process."""
         return Process(self, generator)
 
+    # ----------------------------------------------------------- the clock
+
+    def _to_ticks(self, value: Time) -> int:
+        """*value* as a whole number of ticks, growing the scale first
+        when *value* is off the current grid."""
+        den = value.denominator
+        if self._scale % den:
+            self._rescale(den // math.gcd(self._scale, den))
+        return value.numerator * (self._scale // den)
+
+    def _rescale(self, factor: int) -> None:
+        # Multiplying every key's tick by the same positive factor keeps
+        # the keys' order, so the heap invariant holds without a
+        # re-heapify.  The list is updated in place: profilers hold it.
+        self._scale *= factor
+        self._tick *= factor
+        heap = self._heap
+        for i, (at, priority, seq, event) in enumerate(heap):
+            heap[i] = (at * factor, priority, seq, event)
+
     # ----------------------------------------------------------- execution
 
     def _queue_event(
-        self, event: Event, *, delay: TimeLike = 0, priority: int = NORMAL
+        self, event: Event, *, delay: Time | None = None, priority: int = NORMAL
     ) -> None:
-        # Zero delay (event triggers, process resumptions — the majority
-        # of queue operations) skips conversion *and* the Fraction add;
-        # small integer delays hit the precomputed table.
-        if delay:
-            step = _SMALL_DELAYS.get(delay)
-            if step is None:
-                step = as_time(delay)
-            at = self._now + step
+        # No delay (event triggers, process resumptions — the majority of
+        # queue operations) skips the conversion.  Convert before reading
+        # the clock: a conversion may rescale it.
+        if delay is None:
+            at = self._tick
         else:
-            at = self._now
+            step = self._to_ticks(delay)
+            at = self._tick + step
         self._seq += 1
         heapq.heappush(self._heap, (at, priority, self._seq, event))
 
     def peek(self) -> Time | None:
         """Time of the next scheduled event, or ``None`` if none remain."""
-        return self._heap[0][0] if self._heap else None
+        if not self._heap:
+            return None
+        at = self._heap[0][0]
+        return self._now if at == self._tick else Fraction(at, self._scale)
 
     def step(self) -> None:
         """Process exactly one event."""
         if not self._heap:
             raise SimulationError("no more events")
         at, _prio, _seq, event = heapq.heappop(self._heap)
-        if at < self._now:
-            raise SimulationError("event scheduled in the past")
-        self._now = at
+        if at != self._tick:
+            if at < self._tick:
+                raise SimulationError("event scheduled in the past")
+            self._tick = at
+            self._now = Fraction(at, self._scale)
         callbacks = event.callbacks
         event.callbacks = None  # mark processed
         if callbacks:
@@ -326,6 +360,7 @@ class Environment:
         """
         stop_event: Event | None = None
         stop_time: Time | None = None
+        stop_tick = stop_scale = 0
         if isinstance(until, Event):
             stop_event = until
             if stop_event.processed:
@@ -338,12 +373,19 @@ class Environment:
                 raise SimulationError(
                     f"cannot run until {stop_time}: already at {self._now}"
                 )
+            stop_tick = self._to_ticks(stop_time)
+            stop_scale = self._scale
 
-        while self._heap:
+        heap = self._heap
+        while heap:
             if stop_event is not None and stop_event.processed:
                 break
-            if stop_time is not None and self._heap[0][0] > stop_time:
-                break
+            if stop_time is not None:
+                if stop_scale != self._scale:  # a delay grew the scale
+                    stop_tick *= self._scale // stop_scale
+                    stop_scale = self._scale
+                if heap[0][0] > stop_tick:
+                    break
             self.step()
 
         if stop_event is not None:
@@ -354,6 +396,7 @@ class Environment:
             if stop_event._ok:
                 return stop_event._value
             raise stop_event._value
-        if stop_time is not None:
-            self._now = max(self._now, stop_time)
+        if stop_time is not None and stop_time > self._now:
+            self._tick = self._to_ticks(stop_time)
+            self._now = stop_time
         return None

@@ -24,10 +24,16 @@ This module specializes for that shape:
   lazy compaction of consumed buckets, and an automatic fallback to a
   classic binary heap when the tick spread turns out sparse (see
   :class:`TurboEnvironment`).
-* **Direct delivery callbacks** — a send books its delivery as one queue
-  entry ``(tick, seq, fn, args)``; no ``_send_proc`` / ``_deliver_proc``
+* **Direct delivery callbacks** — a send books its delivery as one flat
+  queue entry ``(seq, fn, *args)``; no ``_send_proc`` / ``_deliver_proc``
   generator pair, no :class:`~repro.sim.resources.Resource` handshake.
   Port bookkeeping is two integer arrays (``send_free`` / ``recv_free``).
+  Entries carry plain functions with their receiver among the
+  arguments, a waiting process is its own callback, and an event or an
+  inbox with a single waiter holds it without a list.  No pending entry
+  holds a bound method or a separate argument tuple, so an in-flight
+  send, and a processor waiting for its message, keep far fewer objects
+  alive for the cyclic garbage collector to walk.
 * **Columnar run log** — the run appends packed integers to a
   :class:`~repro.turbo.runlog.RunLog` (five ``array('q')`` columns, the
   layout of :mod:`repro.plan.columns`) and never touches the
@@ -100,6 +106,18 @@ __all__ = [
 
 _PENDING = object()
 
+#: A pending event's callback slot before anything waits on it.
+_UNWAITED = object()
+
+
+class _START:
+    """The pseudo-event a process's first resume reads: it starts the
+    generator with ``send(None)``."""
+
+    _ok = True
+    _value = None
+
+
 #: Calendar look-ahead: pushes more than this many ticks past the cursor
 #: go to the overflow heap instead of growing the bucket array.
 _SPAN = 1 << 16
@@ -134,15 +152,44 @@ _SPARSE_DEBT = 1 << 12
 
 class TurboEvent:
     """A one-shot awaitable on the turbo loop (duck-types
-    :class:`~repro.sim.engine.Event` for the protocol-facing surface)."""
+    :class:`~repro.sim.engine.Event` for the protocol-facing surface).
 
-    __slots__ = ("env", "callbacks", "_value", "_ok")
+    The loop keeps an event's callbacks in ``_callbacks``: ``_UNWAITED``
+    until something waits, then the lone callback itself, and a list
+    only from the second one on; ``None`` once processed.  Nearly every
+    event has exactly one waiter, so a run allocates no list per event
+    for the garbage collector to walk.  :attr:`callbacks` shows the
+    exact engine's list form.
+    """
+
+    __slots__ = ("env", "_callbacks", "_value", "_ok")
 
     def __init__(self, env: "TurboEnvironment"):
         self.env = env
-        self.callbacks: Optional[list] = []
+        self._callbacks: Any = _UNWAITED
         self._value: Any = _PENDING
         self._ok: bool | None = None
+
+    @property
+    def callbacks(self) -> Optional[list]:
+        """The callbacks waiting on this event, as a list callers may
+        append to; ``None`` once the event is processed."""
+        cbs = self._callbacks
+        if cbs is None or type(cbs) is list:
+            return cbs
+        cbs = [] if cbs is _UNWAITED else [cbs]
+        self._callbacks = cbs
+        return cbs
+
+    def _wait(self, callback: Callable) -> None:
+        """Attach *callback* (the event must still be pending)."""
+        cbs = self._callbacks
+        if cbs is _UNWAITED:
+            self._callbacks = callback
+        elif type(cbs) is list:
+            cbs.append(callback)
+        else:
+            self._callbacks = [cbs, callback]
 
     @property
     def triggered(self) -> bool:
@@ -150,7 +197,7 @@ class TurboEvent:
 
     @property
     def processed(self) -> bool:
-        return self.callbacks is None
+        return self._callbacks is None
 
     @property
     def ok(self) -> bool:
@@ -170,7 +217,7 @@ class TurboEvent:
         self._ok = True
         self._value = value
         env = self.env
-        env._push(env._tick, self._fire)
+        env._push(env._tick, TurboEvent._fire, self)
         return self
 
     def fail(self, exception: BaseException) -> "TurboEvent":
@@ -181,24 +228,29 @@ class TurboEvent:
         self._ok = False
         self._value = exception
         env = self.env
-        env._push(env._tick, self._fire)
+        env._push(env._tick, TurboEvent._fire, self)
         return self
 
     def _fire(self) -> None:
         """Run callbacks (the heap-scheduled half of triggering)."""
-        callbacks = self.callbacks
-        self.callbacks = None
-        if callbacks:
-            for cb in callbacks:
-                cb(self)
-        elif self._ok is False:
+        cbs = self._callbacks
+        self._callbacks = None
+        if type(cbs) is list:
+            if cbs:
+                for cb in cbs:
+                    cb(self)
+                return
+        elif cbs is not _UNWAITED:
+            cbs(self)
+            return
+        if self._ok is False:
             # a failure nobody waited for: surface it, like the exact engine
             raise self._value
 
     def __repr__(self) -> str:
         state = (
             "processed"
-            if self.callbacks is None
+            if self._callbacks is None
             else "triggered"
             if self._value is not _PENDING
             else "pending"
@@ -217,19 +269,18 @@ class TurboProcess(TurboEvent):
             raise TypeError(f"process needs a generator, got {generator!r}")
         super().__init__(env)
         self._gen = generator
-        env._push(env._tick, self._bootstrap)
+        env._push(env._tick, self, _START)
 
     @property
     def is_alive(self) -> bool:
         return self._value is _PENDING
 
-    def _bootstrap(self) -> None:
-        self._step(True, None)
-
-    def _resume(self, event: TurboEvent) -> None:
-        self._step(event._ok, event._value)
-
-    def _step(self, ok: bool, value: Any) -> None:
+    def __call__(self, event: "TurboEvent | type[_START]") -> None:
+        """Resume the generator with *event*'s outcome.  A process is
+        its own callback: waiting on an event attaches the process
+        itself, so a run keeps no bound method per waiting process for
+        the garbage collector to walk."""
+        ok, value = event._ok, event._value
         gen = self._gen
         env = self.env
         while True:
@@ -238,25 +289,25 @@ class TurboProcess(TurboEvent):
             except StopIteration as stop:
                 self._ok = True
                 self._value = stop.value
-                env._push(env._tick, self._fire)
+                env._push(env._tick, TurboEvent._fire, self)
                 return
             except BaseException as exc:
                 self._ok = False
                 self._value = exc
-                env._push(env._tick, self._fire)
+                env._push(env._tick, TurboEvent._fire, self)
                 return
             if not isinstance(nxt, TurboEvent):
                 self._ok = False
                 self._value = SimulationError(
                     f"process yielded a non-event: {nxt!r}"
                 )
-                env._push(env._tick, self._fire)
+                env._push(env._tick, TurboEvent._fire, self)
                 return
-            if nxt.callbacks is None:
+            if nxt._callbacks is None:
                 # already processed: resume inline with its value
                 ok, value = nxt._ok, nxt._value
                 continue
-            nxt.callbacks.append(self._resume)
+            nxt._wait(self)
             return
 
 
@@ -266,14 +317,15 @@ class TurboEnvironment:
     Postal runs schedule events on a *dense* grid (every tick between
     start and completion tends to carry work), so the scheduler is a
     calendar: ``_buckets[i]`` holds the entries due at tick
-    ``_base + i`` as a list of ``(seq, fn, args)``, naturally sorted by
-    the global *seq* counter because entries are appended in scheduling
-    order.  Push and pop are O(1); the heap's O(log E) sift is gone.
+    ``_base + i`` as a list of flat ``(seq, fn, *args)`` tuples,
+    naturally sorted by the global *seq* counter because entries are
+    appended in scheduling order.  Push and pop are O(1); the heap's
+    O(log E) sift is gone.
 
     Three mechanisms keep the calendar honest:
 
     * **Overflow heap** — a push more than :data:`_SPAN` ticks past the
-      cursor goes to a classic ``(tick, seq, fn, args)`` heap instead of
+      cursor goes to a classic ``(tick, seq, fn, *args)`` heap instead of
       growing the bucket array; due overflow groups are merged back into
       the calendar (by *seq*, preserving FIFO) before processing.
     * **Lazy compaction** — consumed leading buckets are deleted in
@@ -313,7 +365,7 @@ class TurboEnvironment:
         self._base = 0
         self._cursor = 0
         self._buckets: list[list | None] = []
-        self._overflow: list[tuple[int, int, Callable, tuple]] = []
+        self._overflow: list[tuple] = []
         self._pending = 0
         self._heap_mode = False
         self._scan_debt = 0
@@ -323,8 +375,9 @@ class TurboEnvironment:
     @property
     def now(self) -> Time:
         """Current simulation time as an exact :class:`~fractions.Fraction`
-        (converted once per tick, then served from a one-slot cache —
-        protocols poll ``env.now`` inside hot loops)."""
+        (served from a one-slot cache while the tick stands — protocols
+        poll ``env.now`` inside hot loops — and from the domain's
+        one-``Fraction``-per-tick memo when it moves)."""
         tick = self._tick
         if tick != self._now_tick:
             self._now_tick = tick
@@ -350,7 +403,7 @@ class TurboEnvironment:
         ev = TurboEvent(self)
         ev._ok = True
         ev._value = value
-        self._push(self._tick + ticks, ev._fire)
+        self._push(self._tick + ticks, TurboEvent._fire, ev)
         return ev
 
     def process(self, generator: Generator) -> TurboProcess:
@@ -362,24 +415,26 @@ class TurboEnvironment:
     def _push(self, tick: int, fn: Callable, *args: Any) -> None:
         if tick < self._tick:
             raise SimulationError("event scheduled in the past")
-        self._seq += 1
+        seq = self._seq + 1
+        self._seq = seq
         self._pending += 1
+        entry = (seq, fn) + args
         if self._heap_mode:
-            heapq.heappush(self._overflow, (tick, self._seq, fn, args))
+            heapq.heappush(self._overflow, (tick,) + entry)
             return
         idx = tick - self._base
         buckets = self._buckets
         if idx < len(buckets):
             bucket = buckets[idx]
             if bucket is None:
-                buckets[idx] = [(self._seq, fn, args)]
+                buckets[idx] = [entry]
             else:
-                bucket.append((self._seq, fn, args))
+                bucket.append(entry)
         elif idx < self._cursor + _SPAN:
             buckets.extend([None] * (idx + 1 - len(buckets)))
-            buckets[idx] = [(self._seq, fn, args)]
+            buckets[idx] = [entry]
         else:
-            heapq.heappush(self._overflow, (tick, self._seq, fn, args))
+            heapq.heappush(self._overflow, (tick,) + entry)
 
     def _next_tick(self) -> int | None:
         """Tick of the next scheduled entry, or ``None`` (no mutation)."""
@@ -410,8 +465,7 @@ class TurboEnvironment:
         pop = heapq.heappop
         group = []
         while heap and heap[0][0] == tick:
-            entry = pop(heap)
-            group.append((entry[1], entry[2], entry[3]))
+            group.append(pop(heap)[1:])
         return group
 
     def _switch_to_heap(self, cursor: int) -> None:
@@ -423,9 +477,9 @@ class TurboEnvironment:
         for idx in range(cursor, len(buckets)):
             bucket = buckets[idx]
             if bucket:
-                tick = base + idx
-                for seq, fn, args in bucket:
-                    heap.append((tick, seq, fn, args))
+                tick = (base + idx,)
+                for entry in bucket:
+                    heap.append(tick + entry)
         heapq.heapify(heap)
         buckets.clear()
         self._cursor = 0
@@ -438,7 +492,7 @@ class TurboEnvironment:
             entry = pop(heap)
             self._tick = entry[0]
             self._pending -= 1
-            entry[2](*entry[3])
+            entry[2](*entry[3:])
 
     def _run_calendar_step(self) -> bool:
         """Process the next due bucket.  Returns ``False`` if the loop
@@ -476,14 +530,11 @@ class TurboEnvironment:
             return False
         self._tick = self._base + cursor
         self._cursor = cursor
-        # index iteration on purpose: same-tick pushes append to this
-        # live bucket and must run within the tick, in seq order
-        i = 0
-        while i < len(bucket):
-            entry = bucket[i]
-            i += 1
-            entry[1](*entry[2])
-        self._pending -= i
+        # same-tick pushes append to this live bucket and must run within
+        # the tick, in seq order: a list iterator reaches appended items
+        for entry in bucket:
+            entry[1](*entry[2:])
+        self._pending -= len(bucket)
         buckets[cursor] = None
         cursor += 1
         if cursor >= _COMPACT:
@@ -585,8 +636,12 @@ class TurboSystem:
         self._strict = policy is ContentionPolicy.STRICT
         self._send_free = [0] * n
         self._recv_free = [0] * n
-        self._inbox_items: list[list[Message]] = [[] for _ in range(n)]
-        self._inbox_waiters: list[list[TurboEvent]] = [[] for _ in range(n)]
+        # Per-processor queues, allocated on first use: a run at large n
+        # would otherwise keep 2n lists alive for the GC to walk.  A
+        # processor's waiting recv events are None, the lone event (the
+        # usual case), or a list once several wait at once.
+        self._inbox_items: list[list[Message] | None] = [None] * n
+        self._inbox_waiters: list[Any] = [None] * n
         log = RunLog()
         self._log = log
         # hot-path column appends, bound once (send/_deliver run per event)
@@ -661,8 +716,10 @@ class TurboSystem:
         exact engine's gap-timeout + receive-unit chain, so same-instant
         ties resolve identically (see the ordering note at module top).
         """
-        self._check_proc(src)
-        self._check_proc(dst)
+        n = self._n
+        if not (0 <= src < n and 0 <= dst < n):
+            self._check_proc(src)
+            self._check_proc(dst)
         if src == dst:
             raise InvalidParameterError(f"p{src} cannot send to itself")
         env = self.env
@@ -683,10 +740,16 @@ class TurboSystem:
         done = TurboEvent(env)
         done._ok = True
         done._value = self.domain.to_time(start)
-        env._push(start + one, done._fire)
-        lat = self._latency_ticks(src, dst)
-        book = self._book_strict if self._strict else self._book_queued
-        env._push(start + lat - one, book, row, start, src, dst, msg, payload)
+        env._push(start + one, TurboEvent._fire, done)
+        if self._latency_fn is None:
+            lat = self._lam_ticks
+        else:
+            lat = self._latency_ticks(src, dst)
+        cls = type(self)
+        book = cls._book_strict if self._strict else cls._book_queued
+        env._push(
+            start + lat - one, book, self, row, start, src, dst, msg, payload
+        )
         return done
 
     # The delivery chain carries the send's log row, which the DELIVER row
@@ -708,7 +771,9 @@ class TurboSystem:
             )
         due = window + self._one
         self._recv_free[dst] = due
-        self.env._push(due, self._deliver, row, start, src, dst, msg, payload)
+        self.env._push(
+            due, type(self)._deliver, self, row, start, src, dst, msg, payload
+        )
 
     def _book_queued(
         self, row: int, start: int, src: ProcId, dst: ProcId, msg: int,
@@ -720,7 +785,8 @@ class TurboSystem:
         rstart = window if free <= window else free
         self._recv_free[dst] = rstart + one
         self.env._push(
-            rstart + one, self._deliver, row, start, src, dst, msg, payload
+            rstart + one, type(self)._deliver, self, row, start, src, dst,
+            msg, payload,
         )
 
     def _deliver(
@@ -744,27 +810,44 @@ class TurboSystem:
         # the landing is synchronous (Store.put semantics); only the
         # waiter's consume hop is deferred, behind same-tick deliveries
         waiters = self._inbox_waiters[dst]
-        if waiters:
-            ev = waiters.pop(0)
+        if waiters is not None:
+            if type(waiters) is list:
+                ev = waiters.pop(0)
+                if len(waiters) == 1:
+                    self._inbox_waiters[dst] = waiters[0]
+            else:
+                ev = waiters
+                self._inbox_waiters[dst] = None
             ev._ok = True
             ev._value = record
-            env._push(arrival, self._fire_recv, dst, ev)
+            env._push(arrival, type(self)._fire_recv, self, dst, ev)
         else:
-            self._inbox_items[dst].append(record)
+            items = self._inbox_items[dst]
+            if items is None:
+                self._inbox_items[dst] = [record]
+            else:
+                items.append(record)
 
     def recv(self, dst: ProcId) -> TurboEvent:
         """An event yielding the next :class:`~repro.postal.message.Message`
         from *dst*'s inbox (fires immediately if one is waiting)."""
-        self._check_proc(dst)
+        if not 0 <= dst < self._n:
+            self._check_proc(dst)
         env = self.env
         ev = TurboEvent(env)
         items = self._inbox_items[dst]
         if items:
             ev._ok = True
             ev._value = items.pop(0)
-            env._push(env._tick, self._fire_recv, dst, ev)
+            env._push(env._tick, type(self)._fire_recv, self, dst, ev)
         else:
-            self._inbox_waiters[dst].append(ev)
+            waiters = self._inbox_waiters[dst]
+            if waiters is None:
+                self._inbox_waiters[dst] = ev
+            elif type(waiters) is list:
+                waiters.append(ev)
+            else:
+                self._inbox_waiters[dst] = [waiters, ev]
         return ev
 
     def _fire_recv(self, dst: ProcId, ev: TurboEvent) -> None:
@@ -782,14 +865,19 @@ class TurboSystem:
         """Withdraw a pending :meth:`recv` so it does not swallow a later
         message."""
         self._check_proc(dst)
-        try:
-            self._inbox_waiters[dst].remove(event)
-        except ValueError:
-            raise ValueError(f"{event!r} is not a pending recv of p{dst}") from None
+        waiters = self._inbox_waiters[dst]
+        if waiters is event:
+            self._inbox_waiters[dst] = None
+        elif type(waiters) is list and event in waiters:
+            waiters.remove(event)
+            if len(waiters) == 1:
+                self._inbox_waiters[dst] = waiters[0]
+        else:
+            raise ValueError(f"{event!r} is not a pending recv of p{dst}")
 
     def inbox_size(self, proc: ProcId) -> int:
         self._check_proc(proc)
-        return len(self._inbox_items[proc])
+        return len(self._inbox_items[proc] or ())
 
     # ------------------------------------------------------- fast accessors
 

@@ -32,6 +32,10 @@ __all__ = ["TickDomain", "lcm_denominator"]
 #: integers and lose the very speed the tick domain exists to buy.
 MAX_SCALE = 1 << 24
 
+#: Entries :meth:`TickDomain.to_time` keeps per domain before it starts
+#: over.  A run touches few distinct ticks, so this rarely fills.
+_TIMES_MEMO = 4096
+
 
 def lcm_denominator(values: Iterable[TimeLike], *, limit: int = MAX_SCALE) -> int | None:
     """The least common multiple of the denominators of *values*, or
@@ -67,7 +71,7 @@ class TickDomain:
     Fraction(7, 2)
     """
 
-    __slots__ = ("scale",)
+    __slots__ = ("scale", "_times")
 
     def __init__(self, scale: int = 1):
         if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
@@ -77,6 +81,7 @@ class TickDomain:
                 f"tick scale {scale} exceeds the supported maximum {MAX_SCALE}"
             )
         self.scale = scale
+        self._times: dict[int, Time] = {}
 
     @classmethod
     def for_values(cls, values: Iterable[TimeLike]) -> "TickDomain":
@@ -115,8 +120,20 @@ class TickDomain:
         return ticks
 
     def to_time(self, ticks: int) -> Time:
-        """The exact rational time of *ticks* (inverse of :meth:`to_ticks`)."""
-        return Fraction(ticks, self.scale)
+        """The exact rational time of *ticks* (inverse of :meth:`to_ticks`).
+
+        One :class:`~fractions.Fraction` per distinct tick: equal times
+        share one object, which spares the decoders a ``Fraction`` build
+        per record and lets sorts of equal times take CPython's identity
+        shortcut.  The memo holds at most :data:`_TIMES_MEMO` entries.
+        """
+        time = self._times.get(ticks)
+        if time is None:
+            times = self._times
+            if len(times) >= _TIMES_MEMO:
+                times.clear()
+            time = times[ticks] = Fraction(ticks, self.scale)
+        return time
 
     def representable(self, value: TimeLike) -> bool:
         """True when *value* lies on this domain's grid."""
@@ -124,6 +141,10 @@ class TickDomain:
 
     def __repr__(self) -> str:
         return f"TickDomain(scale={self.scale})"
+
+    def __reduce__(self):
+        # the memo is a cache: a pickled domain carries its scale only
+        return (TickDomain, (self.scale,))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, TickDomain):

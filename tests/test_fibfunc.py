@@ -167,6 +167,49 @@ class TestAPI:
             assert a.index(n) == b.index(n)
 
 
+class TestSplit:
+    """``split(size)``: Lemma 3's split, the one the event-driven
+    protocols all ask for."""
+
+    @pytest.mark.parametrize(
+        "lam",
+        [1, Fraction(3, 2), 2, Fraction(5, 2), Fraction(7, 3), 4,
+         Fraction(11, 7), 2.1],
+    )
+    def test_definition_and_range(self, lam):
+        fib = GeneralizedFibonacci(lam)
+        ref = GeneralizedFibonacci(lam)
+        lam_t = fib.lam
+        for size in range(2, 2001):
+            j = fib.split(size)
+            t = ref.index(size)
+            assert j == ref.value_at(t - 1)
+            assert 1 <= j < size
+            # the other part fits the recipient's share F(t - lambda)
+            assert size - j <= ref.value_at(t - lam_t)
+
+    def test_repeated_size_is_memoized(self):
+        fib = GeneralizedFibonacci(Fraction(5, 2))
+        calls = []
+        value_at = fib.value_at
+
+        def counting(t):
+            calls.append(t)
+            return value_at(t)
+
+        fib.value_at = counting
+        first = fib.split(1000)
+        assert len(calls) == 1
+        assert fib.split(1000) == first
+        assert len(calls) == 1
+        fib.split(999)
+        assert len(calls) == 2
+
+    def test_size_one_has_no_split(self):
+        with pytest.raises(InvalidParameterError):
+            GeneralizedFibonacci(2).split(1)
+
+
 class TestModuleCache:
     """The LRU-bounded module-level cache behind postal_F / postal_f."""
 

@@ -386,3 +386,166 @@ class TestRun:
         assert env.peek() is None
         env.timeout(5)
         assert env.peek() == 5
+
+
+class TestTickClock:
+    """The clock counts integer ticks at the LCM of every denominator it
+    has seen; these force the paths where that scale grows."""
+
+    def test_initial_time_scale_meets_a_new_denominator(self):
+        env = Environment(initial_time=Fraction(5, 2))
+        env.timeout(Fraction(1, 3))
+        env.run()
+        assert env.now == Fraction(17, 6)
+
+    def test_rescale_keeps_pending_events_in_order(self):
+        # thirds and sevenths arrive mid-run, while halves are pending
+        env = Environment()
+        log = []
+
+        def tagged(delay, tag):
+            yield env.timeout(delay)
+            log.append((env.now, tag))
+
+        def spawner():
+            yield env.timeout(Fraction(1, 2))
+            log.append((env.now, "spawner"))
+            env.process(tagged(Fraction(1, 3), "third"))
+            env.process(tagged(Fraction(4, 7), "seventh"))
+
+        for i in range(4):
+            env.process(tagged(Fraction(i + 1, 2), f"half{i}"))
+        env.process(spawner())
+        env.run()
+        assert log == [
+            (Fraction(1, 2), "half0"),
+            (Fraction(1, 2), "spawner"),
+            (Fraction(5, 6), "third"),
+            (Fraction(1), "half1"),
+            (Fraction(15, 14), "seventh"),
+            (Fraction(3, 2), "half2"),
+            (Fraction(2), "half3"),
+        ]
+
+    def test_mersenne_denominators_beyond_2_to_128(self):
+        p61, p89 = (1 << 61) - 1, (1 << 89) - 1
+        env = Environment()
+        log = []
+
+        def proc(delay, tag):
+            yield env.timeout(delay)
+            log.append((env.now, tag))
+
+        a, b = Fraction(p61 - 1, p61), Fraction(p89 - 1, p89)
+        env.process(proc(b, "b"))
+        env.process(proc(a, "a"))
+        env.process(proc(a + b, "sum"))
+        env.run()
+        assert log == [(a, "a"), (b, "b"), (a + b, "sum")]
+        assert env._scale == p61 * p89 > 1 << 128
+        assert all(type(t) is Fraction for t, _ in log)
+
+    def test_float_delay_is_exact(self):
+        env = Environment()
+        env.timeout(0.1)
+        env.run()
+        assert env.now == Fraction(0.1)
+        assert env.now != Fraction(1, 10)
+
+    def test_until_off_the_grid_lands_exactly(self):
+        env = Environment()
+
+        def proc():
+            while True:
+                yield env.timeout(Fraction(1, 2))
+
+        env.process(proc())
+        env.run(until=Fraction(1, 7))
+        assert env.now == Fraction(1, 7)
+        env.run(until=Fraction(3, 4))
+        assert env.now == Fraction(3, 4)
+        assert env.peek() == 1
+
+    def test_until_follows_a_rescale_mid_run(self):
+        env = Environment()
+        seen = []
+
+        def proc(delay):
+            yield env.timeout(delay)
+            seen.append(env.now)
+
+        def spawner():
+            # grows the scale from 2 to 6 after `until` was converted
+            env.process(proc(Fraction(1, 3)))
+            env.process(proc(Fraction(2, 3)))
+            yield env.timeout(0)
+
+        env.process(spawner())
+        env.run(until=Fraction(1, 2))
+        assert seen == [Fraction(1, 3)]
+        assert env.now == Fraction(1, 2)
+        assert env.peek() == Fraction(2, 3)
+
+    def test_peek_after_rescale(self):
+        env = Environment()
+        env.timeout(Fraction(3, 2))
+        env.timeout(Fraction(5, 4))
+        assert env.peek() == Fraction(5, 4)
+        env.timeout(Fraction(1, 3))
+        assert env.peek() == Fraction(1, 3)
+        env.step()
+        assert env.peek() == Fraction(5, 4)
+        assert env.now == Fraction(1, 3)
+
+    def test_one_fraction_per_distinct_tick(self):
+        env = Environment()
+        seen = []
+
+        def proc():
+            yield env.timeout(Fraction(1, 2))
+            seen.append(env.now)
+
+        for _ in range(3):
+            env.process(proc())
+        env.run()
+        assert seen[0] is seen[1] is seen[2]
+
+    def test_event_in_the_past_is_rejected(self):
+        env = Environment()
+        env.timeout(2)
+        env.step()
+        env._heap.append((1, 1, 0, env.event()))  # (tick, prio, seq, event)
+        with pytest.raises(SimulationError, match="in the past"):
+            env.step()
+
+    def test_negative_fraction_delay_rejected(self):
+        env = Environment()
+        with pytest.raises(SimulationError, match="negative"):
+            env.timeout(Fraction(-1, 3))
+        assert env.peek() is None
+
+    def test_profiler_heap_peak_across_rescale(self):
+        from repro.obs.profile import EngineProfiler
+
+        env = Environment()
+        profiler = EngineProfiler(env)
+
+        def spawner():
+            yield env.timeout(1)
+            for k in range(1, 6):  # five new denominators while pending
+                env.timeout(Fraction(1, k + 1))
+            yield env.timeout(Fraction(1, 7))
+
+        for delay in (2, 3, 4):
+            env.timeout(delay)
+        env.process(spawner())
+        heap = env._heap
+        env.run()
+        report = profiler.report()
+        profiler.uninstall()
+        assert env._heap is heap  # rescaled in place
+        # before the t=1 step: 3 timeouts + the spawner's; after it the
+        # 3 + 5 new + its own = 9
+        assert report.heap_peak == 9
+        assert report.events_processed == 12
+        assert report.sim_time == 4

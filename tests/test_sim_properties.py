@@ -5,6 +5,7 @@ generated workloads — the invariants the exactness claims of this library
 rest on.
 """
 
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings
@@ -59,6 +60,44 @@ def test_deterministic_replay(ds):
         return log
 
     assert run() == run()
+
+
+two_stage = st.tuples(
+    rationals(0, 4, max_denominator=5), rationals(0, 4, max_denominator=9)
+)
+
+
+@given(pairs=st.lists(two_stage, min_size=1, max_size=20))
+@settings(max_examples=80, deadline=None)
+def test_rescales_mid_run_match_a_run_at_the_final_scale(pairs):
+    """Second-stage delays bring their denominators in mid-run, so the
+    clock rescales while events are pending.  The same run with one no-op
+    timeout queued first, whose delay carries the LCM of every
+    denominator, starts at its final scale and never rescales: both must
+    log the same ``(now, tag)`` sequence."""
+    scale = math.lcm(*(d.denominator for pair in pairs for d in pair))
+
+    def run(presize):
+        env = Environment()
+        if presize:
+            env.timeout(Fraction(1, scale))
+        log = []
+
+        def proc(first, second, tag):
+            yield env.timeout(first)
+            log.append((env.now, tag))
+            yield env.timeout(second)
+            log.append((env.now, tag))
+
+        for i, (first, second) in enumerate(pairs):
+            env.process(proc(first, second, i))
+        env.run()
+        assert env._scale == scale
+        return log
+
+    log = run(presize=False)
+    assert log == run(presize=True)
+    assert [t for t, _ in log] == sorted(t for t, _ in log)
 
 
 @given(ds=st.lists(delays, min_size=1, max_size=20))

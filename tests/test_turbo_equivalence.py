@@ -161,6 +161,70 @@ def test_off_grid_latency_raises_tick_domain_error():
     assert res.sends == 2
 
 
+def _waiters_scenario(system):
+    """Several recv waiters at one processor, cancelled recvs, two
+    processes on one event, and a first_of race joining a lone waiter;
+    returns the log."""
+    from repro.resilience.recovery import first_of
+
+    env = system.env
+    log = []
+
+    def getter(tag, proc):
+        message = yield system.recv(proc)
+        log.append((tag, message.msg, env.now))
+
+    def sender():
+        for msg, dst in ((0, 1), (1, 1), (2, 2), (3, 2)):
+            yield system.send(0, dst, msg)
+
+    shared, solo = env.event(), env.event()
+
+    def sharer(tag, event):
+        value = yield event
+        log.append((tag, value, env.now))
+
+    def canceller():
+        lone = system.recv(2)
+        system.cancel_recv(2, lone)  # the lone waiter
+        first, middle, last = (system.recv(2) for _ in range(3))
+        system.cancel_recv(2, middle)  # one of several
+        race = first_of(env, [solo])
+        for ev in (first, last):
+            message = yield ev
+            log.append(("p2", message.msg, env.now))
+        shared.succeed("go")
+        solo.succeed("solo")
+        winner = yield race
+        log.append(("race", winner.value, env.now))
+
+    env.process(getter("a", 1))
+    env.process(getter("b", 1))
+    env.process(sharer("x", shared))
+    env.process(sharer("y", shared))
+    env.process(sharer("z", solo))
+    env.process(canceller())
+    env.process(sender())
+    env.run()
+    return log
+
+
+def test_recv_waiters_and_shared_events_agree():
+    from repro.postal.machine import PostalSystem
+    from repro.sim.engine import Environment
+    from repro.turbo.fastsim import build_turbo
+
+    exact = _waiters_scenario(PostalSystem(Environment(), 3, 2))
+    turbo_system = build_turbo(3, 2)
+    assert _waiters_scenario(turbo_system) == exact
+    assert exact[:2] == [("a", 0, 2), ("b", 1, 3)]
+    assert exact[2:4] == [("p2", 2, 4), ("p2", 3, 5)]
+    assert [tag for tag, _, _ in exact[4:]] == ["x", "y", "z", "race"]
+    # a recv that is no longer pending cannot be withdrawn from turbo
+    with pytest.raises(ValueError, match="not a pending recv"):
+        turbo_system.cancel_recv(2, turbo_system.env.event())
+
+
 # ------------------------------------------------------- tick domain
 
 
@@ -169,6 +233,22 @@ def test_tick_domain_round_trip_is_lossless():
     domain = TickDomain.for_values(values)
     for v in values:
         assert domain.to_time(domain.to_ticks(v)) == v
+
+
+def test_tick_domain_builds_one_fraction_per_tick_and_stays_bounded():
+    import pickle
+
+    from repro.turbo import ticks
+
+    domain = TickDomain(6)
+    assert domain.to_time(15) is domain.to_time(15) == Fraction(5, 2)
+    for t in range(3 * ticks._TIMES_MEMO):
+        assert domain.to_time(t) == Fraction(t, 6)
+        assert len(domain._times) <= ticks._TIMES_MEMO
+    # a pickled domain carries its scale, not its memo
+    copy = pickle.loads(pickle.dumps(domain))
+    assert copy == domain and not copy._times
+    assert len(pickle.dumps(domain)) < 200
 
 
 def test_tick_domain_rejects_off_grid_values():
