@@ -1,4 +1,4 @@
-"""Optional NumPy kernels for the three replay passes.
+"""Optional NumPy kernels: the three replay passes and the plan decode.
 
 :func:`repro.turbo.replay.replay_plan` executes a compiled
 :class:`~repro.plan.columns.SchedulePlan` as three batched column
@@ -35,6 +35,20 @@ when NumPy is unavailable, disabled via ``REPRO_NUMPY=off``, or the
 overflow guard trips — the caller then runs the Python passes.  The
 differential suite (``tests/test_batch_differential.py``) pins
 byte-identity across every plan-compiled family under both policies.
+
+The fourth kernel sits in front of the passes.  Every compiler in
+:mod:`repro.plan.build` emits one packed key per send,
+``((tick * n + sender) * m + msg) * n + receiver``, and
+:meth:`SchedulePlan.from_sorted_keys
+<repro.plan.columns.SchedulePlan.from_sorted_keys>` sorts and splits
+them into the four columns.  :func:`decode_keys` does that as one
+in-place ``ndarray.sort`` and three ``np.divmod`` calls whose outputs
+are views of the plan's own ``array('q')`` columns, so no row passes
+through a Python object.  It returns ``None`` when NumPy is
+unavailable or disabled, or when a key does not fit int64 (a key grows
+like ``tick * n^2 * m``, so it can pass ``2^63`` while every tick still
+fits); the caller then runs the pure-Python decode, which yields the
+same columns (``tests/test_plan_roundtrip.py`` pins them equal).
 """
 
 from __future__ import annotations
@@ -47,6 +61,7 @@ from repro.postal.machine import ContentionPolicy
 from repro.types import time_repr
 
 __all__ = [
+    "decode_keys",
     "kernels_enabled",
     "numpy_or_none",
     "numpy_version",
@@ -107,6 +122,37 @@ def numpy_version() -> "str | None":
     except ImportError:
         return None
     return numpy.__version__
+
+
+def decode_keys(keys: "list[int]", n: int, m: int, *, presorted: bool):
+    """Packed row keys as ``[ticks, senders, msgs, receivers]``
+    ``array('q')`` columns in key order, or ``None`` to fall back to the
+    pure-Python decode.
+
+    *keys* is read, never modified.  ``None`` means NumPy is unavailable
+    or disabled, or some key is at least ``2^63``: the conversion to
+    int64 raises :class:`OverflowError` rather than wrap, and nothing
+    past it runs.
+    """
+    np = numpy_or_none()
+    if np is None:
+        return None
+    try:
+        packed = np.array(keys, dtype=np.int64)
+    except OverflowError:
+        return None  # the Python decode splits keys of any size
+    if not presorted:
+        packed.sort()
+    columns = [array("q", bytes(8 * len(keys))) for _ in range(4)]
+    ticks, senders, msgs, receivers = (
+        np.frombuffer(col, dtype=np.int64) for col in columns
+    )
+    # each divmod writes its remainder straight into a plan column and
+    # its quotient back over the sorted keys
+    np.divmod(packed, n, out=(packed, receivers))
+    np.divmod(packed, m, out=(packed, msgs))
+    np.divmod(packed, n, out=(ticks, senders))
+    return columns
 
 
 class _Overflow(Exception):

@@ -297,24 +297,22 @@ class SchedulePlan:
         Each key encodes one event as
         ``((tick * n + sender) * m + msg) * n + receiver``; integer
         sorting of the keys is exactly the ``(tick, sender, msg,
-        receiver)`` row order, so one C-speed ``list.sort`` replaces the
+        receiver)`` row order, so one C-speed sort replaces the
         ``Schedule`` constructor's ``Fraction``-comparing event sort.
+        Pass ``presorted=True`` when *keys* is already in that order.
+
+        With NumPy, :func:`repro.batch.kernels.decode_keys` sorts and
+        splits the keys as one int64 array.  Without it, or when a key
+        does not fit int64, the keys are sorted in place and split in
+        whole-list passes.  Both decodes give the same columns.
         """
-        if not presorted:
-            keys.sort()
-        count = len(keys)
-        ticks = array("q", bytes(8 * count))
-        senders = array("q", bytes(8 * count))
-        msgs = array("q", bytes(8 * count))
-        receivers = array("q", bytes(8 * count))
-        for i, key in enumerate(keys):
-            key, receivers[i] = divmod(key, n)
-            key, msgs[i] = divmod(key, m)
-            ticks[i], senders[i] = divmod(key, n)
-        return cls(
-            family, n, m, lam, domain, ticks, senders, msgs, receivers,
-            root=root,
-        )
+        # imported here, not at module level: repro.batch imports repro.plan
+        from repro.batch.kernels import decode_keys
+
+        columns = decode_keys(keys, n, m, presorted=presorted)
+        if columns is None:
+            columns = _decode_keys(keys, n, m, presorted=presorted)
+        return cls(family, n, m, lam, domain, *columns, root=root)
 
     # ----------------------------------------------------------- validation
 
@@ -520,6 +518,26 @@ class SchedulePlan:
             family, n, m, lam, TickDomain(scale),
             cols[0], cols[1], cols[2], cols[3], root=root,
         )
+
+
+def _decode_keys(
+    keys: list[int], n: int, m: int, *, presorted: bool
+) -> tuple[array, array, array, array]:
+    """The pure-Python decode behind :meth:`SchedulePlan.from_sorted_keys`:
+    sort *keys* in place (unless *presorted*), then one list pass per
+    remainder and quotient.  Exact for keys of any size."""
+    if not presorted:
+        keys.sort()
+    receivers = array("q", [key % n for key in keys])
+    rest = [key // n for key in keys]
+    if m == 1:  # every msg is 0 and the quotient is unchanged
+        msgs = array("q", bytes(8 * len(keys)))
+    else:
+        msgs = array("q", [key % m for key in rest])
+        rest = [key // m for key in rest]
+    senders = array("q", [key % n for key in rest])
+    ticks = array("q", [key // n for key in rest])
+    return ticks, senders, msgs, receivers
 
 
 def audit_columns(

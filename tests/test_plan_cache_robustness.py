@@ -10,8 +10,14 @@ The fresh-subprocess test pins the end-to-end behavior a CI shard would
 see: a new interpreter with a poisoned disk cache exits 0 and surfaces
 the discard on stderr (the ``logging`` last-resort handler — no logging
 configuration required).
+
+The race tests pin the other half of "racing writers": two processes
+storing the same disk key at once, for the plan cache and for the
+tuning-table cache that shares its machinery, must leave one readable
+file and nothing else.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +26,11 @@ import pytest
 
 from repro.plan import build_plan
 from repro.plan.cache import PlanCache
+from repro.tune import TuneQuery
+from repro.tune.cache import TuneCache
+from repro.tune.derive import derive_table
+
+_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture
@@ -115,3 +126,89 @@ def test_fresh_subprocess_recovers_loudly(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "discarding corrupt plan cache file" in proc.stderr
     assert proc.stdout.strip() == str(plan.completion_time())
+
+
+# ------------------------------------------------------------ racing writers
+
+#: Stores one disk key 200 times, starting when stdin says "go".
+_WRITER = """
+import json, sys
+from pathlib import Path
+
+kind, directory, payload, key = sys.argv[1:]
+data = Path(payload).read_bytes()
+if kind == "plan":
+    from repro.plan import PlanCache, SchedulePlan
+
+    cache = PlanCache(mode="disk", directory=directory)
+    obj = SchedulePlan.from_bytes(data)
+    key = cache.key(obj.family, obj.n, obj.m, obj.lam)
+else:
+    from repro.tune import TuningTable
+    from repro.tune.cache import TuneCache
+
+    cache = TuneCache(mode="disk", directory=directory)
+    obj = TuningTable.from_json(data.decode())
+    key = tuple(json.loads(key))
+print("ready", flush=True)
+sys.stdin.readline()
+for _ in range(200):
+    cache.store(key, obj)
+"""
+
+
+def _race(tmp_path, kind, payload: bytes, key=()):
+    """Run two writer processes released together; return the cache
+    directory they both wrote."""
+    source = tmp_path / "payload"
+    source.write_bytes(payload)
+    directory = tmp_path / "cache"
+    argv = [sys.executable, "-X", "dev", "-c", _WRITER, kind, str(directory),
+            str(source), json.dumps(key)]
+    env = {"PYTHONPATH": str(_SRC), "PATH": "/usr/bin:/bin"}
+    procs = [
+        subprocess.Popen(argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                         stderr=subprocess.PIPE, text=True, env=env)
+        for _ in range(2)
+    ]
+    try:
+        for proc in procs:  # both imported and ready before either writes
+            assert proc.stdout.readline() == "ready\n"
+        for proc in procs:
+            proc.stdin.write("go\n")
+            proc.stdin.flush()
+        for proc in procs:
+            _, err = proc.communicate(timeout=120)
+            assert proc.returncode == 0, err
+            assert err == ""  # no warning, no discarded file
+    finally:
+        for proc in procs:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+    return directory
+
+
+def test_two_processes_storing_one_plan_key(tmp_path, caplog):
+    plan = build_plan("BCAST", 2000, 1, "5/2", cache=PlanCache(mode="off"))
+    directory = _race(tmp_path, "plan", plan.to_bytes())
+    fresh = PlanCache(mode="disk", directory=directory)
+    key = fresh.key("BCAST", 2000, 1, "5/2")
+    assert [p.name for p in directory.iterdir()] == [fresh.path_for(key).name]
+    with caplog.at_level("WARNING"):
+        assert fresh.lookup(key) == plan
+    assert caplog.text == ""
+    assert fresh.disk_hits == 1
+
+
+def test_two_processes_storing_one_tuning_table_key(tmp_path, caplog):
+    queries = (TuneQuery("broadcast", 4, 1, "2"),)
+    table = derive_table(queries, grid="race/1")
+    key = TuneCache.key("race/1", queries)
+    directory = _race(tmp_path, "tune", table.to_json().encode(), key)
+    fresh = TuneCache(mode="disk", directory=directory)
+    assert [p.name for p in directory.iterdir()] == [fresh.path_for(key).name]
+    with caplog.at_level("WARNING"):
+        assert fresh.lookup(key) == table
+    assert caplog.text == ""
+    assert fresh.disk_hits == 1

@@ -9,6 +9,8 @@ that across all plan-compatible conformance families and rational
 latencies (5/2, 7/3 included), plus:
 
 * the lossless ``SchedulePlan.from_schedule`` inverse,
+* the key decode: the NumPy kernel and the pure-Python passes give the
+  same columns for every family, and keys past int64 decode exactly,
 * turbo replay equivalence (the plan drives the event loop directly),
 * the in-place columnar ``audit`` (both that valid plans pass and that
   corrupted columns raise the *right* exception),
@@ -20,9 +22,12 @@ latencies (5/2, 7/3 included), plus:
 
 import subprocess
 import sys
+from array import array
+from pathlib import Path
 
 import pytest
 
+from repro.batch.kernels import decode_keys, kernels_enabled
 from repro.conformance.oracles import get_oracle
 from repro.errors import (
     InvalidParameterError,
@@ -38,6 +43,7 @@ from repro.plan import (
     compile_plan,
     plan_families,
 )
+from repro.plan.build import collective_plan_families
 from repro.postal import run_protocol
 from repro.turbo import TickDomain
 from repro.types import as_time
@@ -97,6 +103,104 @@ def test_from_schedule_round_trip_is_identity(family, lam_str):
     plan = compile_plan(family, n, m, lam)
     back = SchedulePlan.from_schedule(plan.to_schedule(), family=plan.family)
     assert back == plan
+
+
+# ------------------------------------------------------------ key decode
+
+
+def _pack(rows, n, m):
+    """The compilers' key of each ``(tick, sender, msg, receiver)`` row."""
+    return [((t * n + s) * m + k) * n + r for t, s, k, r in rows]
+
+
+@pytest.fixture(params=["numpy", "python"])
+def decode(request, monkeypatch):
+    """Run the test body on one decode: the NumPy kernel (skipped when
+    NumPy is absent) or the pure-Python passes (``REPRO_NUMPY=off``)."""
+    if request.param == "python":
+        monkeypatch.setenv("REPRO_NUMPY", "off")
+    elif not kernels_enabled():
+        pytest.skip("NumPy is not installed (or REPRO_NUMPY=off)")
+    return request.param
+
+
+@pytest.mark.parametrize("lam_str", ["1", "5/2", "7/3"])
+@pytest.mark.parametrize(
+    "family", plan_families() + collective_plan_families()
+)
+def test_numpy_and_python_decodes_give_the_same_plan(
+    family, lam_str, monkeypatch
+):
+    """Every broadcast and collective family compiles to the same
+    columns, row for row, whichever decode runs."""
+    checked = 0
+    for n, m in [(2, 1), (5, 2), (13, 3), (64, 8)]:
+        try:
+            fast = compile_plan(family, n, m, lam_str)
+        except InvalidParameterError:
+            continue
+        monkeypatch.setenv("REPRO_NUMPY", "off")
+        slow = compile_plan(family, n, m, lam_str)
+        monkeypatch.delenv("REPRO_NUMPY")
+        assert fast == slow, f"{family} n={n} m={m} lam={lam_str}"
+        assert fast.to_bytes() == slow.to_bytes()
+        checked += 1
+    assert checked
+
+
+#: Rows of a 2-processor, 3-message schedule, sorted.  The last tick is
+#: 2^62, so its keys pass 2^63 although every column value fits int64.
+_FAR_ROWS = [
+    (0, 0, 0, 1),
+    (0, 0, 2, 1),
+    (3, 1, 1, 0),
+    (2**62, 0, 1, 1),
+    (2**62, 1, 0, 0),
+]
+
+
+def test_keys_past_int64_decode_exactly_on_the_python_path():
+    n, m = 2, 3
+    keys = _pack(_FAR_ROWS, n, m)
+    assert max(keys) >= 2**63 > max(row[0] for row in _FAR_ROWS)
+    # the kernel declines rather than wrap; with NumPy absent it always
+    # declines, and the Python decode is the only one
+    assert decode_keys(keys, n, m, presorted=True) is None
+    plan = SchedulePlan.from_sorted_keys(
+        "CUSTOM", n, m, 2, TickDomain(1), keys[::-1]
+    )
+    assert list(plan.rows()) == _FAR_ROWS
+    assert plan.ticks.typecode == "q"
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("presorted", [False, True])
+def test_decode_edge_cases(decode, presorted, m):
+    """Both ``presorted`` values, ``m = 1`` against ``m > 1``, on each
+    decode: ``presorted=True`` keeps the given order, ``False`` sorts."""
+    n = 5
+    rows = [(0, 0, 0, 1), (2, 1, m - 1, 3), (2, 1, 0, 4), (9, 4, 0, 0)]
+    order = [2, 0, 3, 1]
+    keys = [_pack(rows, n, m)[i] for i in order]
+    plan = SchedulePlan.from_sorted_keys(
+        "CUSTOM", n, m, 2, TickDomain(1), keys, presorted=presorted
+    )
+    expect = [rows[i] for i in order] if presorted else sorted(rows)
+    assert list(plan.rows()) == expect
+    columns = (plan.ticks, plan.senders, plan.msgs, plan.receivers)
+    assert [col.typecode for col in columns] == ["q"] * 4
+    if m == 1:
+        assert set(plan.msgs) == {0}
+
+
+@pytest.mark.parametrize("presorted", [False, True])
+def test_decode_of_no_keys_is_an_empty_plan(decode, presorted):
+    plan = SchedulePlan.from_sorted_keys(
+        "CUSTOM", 3, 2, 2, TickDomain(1), [], presorted=presorted
+    )
+    assert len(plan) == 0 and plan.nbytes == 0
+    assert plan.ticks == array("q")
+    assert plan.completion_ticks() == 0
 
 
 @pytest.mark.parametrize("family", ["BCAST", "REPEAT", "PACK", "PIPELINE-1"])
@@ -332,10 +436,9 @@ def test_disk_cache_survives_a_fresh_process(tmp_path):
         env={
             "REPRO_PLAN_CACHE": "disk",
             "REPRO_PLAN_CACHE_DIR": str(tmp_path),
-            "PYTHONPATH": "src",
+            "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src"),
             "PATH": "/usr/bin:/bin",
         },
-        cwd="/root/repo",
         check=True,
     )
     disk_hits, count = proc.stdout.split()

@@ -238,6 +238,37 @@ def test_queued_collision_serializes_and_flags_contention():
     assert _trace_tuples(fast_sys) == _trace_tuples(loop_sys)
 
 
+def test_int64_headroom_guard_falls_back_to_the_python_passes():
+    """Three senders over a tick span of ``2^61``: the kernels' lifted
+    cumulative maximum would pass ``2^62``, so :func:`replay_passes`
+    declines and :func:`replay_plan` runs the Python passes, which must
+    still equal the event loop."""
+    from repro.batch.kernels import replay_passes
+    from repro.core.schedule import Schedule, SendEvent
+    from repro.plan import SchedulePlan
+
+    far = 2**61
+    events = [
+        SendEvent(Fraction(0), 0, 0, 1),
+        SendEvent(Fraction(1), 0, 0, 2),
+        SendEvent(Fraction(far), 1, 0, 3),
+        SendEvent(Fraction(far + 1), 2, 0, 4),
+    ]
+    plan = SchedulePlan.from_schedule(Schedule(5, 2, events))
+    plan.audit()
+    for policy in ContentionPolicy:
+        assert replay_passes(plan, policy) is None, policy
+        loop_sys = plan.replay(policy=policy.value)
+        fast_sys = replay_plan(plan, policy=policy)
+        fast_sys.audit()
+        assert fast_sys.completion_time == loop_sys.completion_time
+        assert fast_sys.completion_time == far + 1 + 2
+        # the send and deliver records carry every start and arrival
+        assert _trace_tuples(fast_sys) == _trace_tuples(loop_sys), policy
+    assert list(fast_sys._starts) == [0, 1, far, far + 1]
+    assert list(fast_sys._arrivals) == [2, 3, far + 2, far + 3]
+
+
 def test_contention_free_plan_does_not_flag():
     plan = compile_plan("BCAST", 13, 1, as_time("5/2"))
     assert (
