@@ -57,13 +57,14 @@ _POLICIES = ("strict", "queued")
 
 #: Sends a sweep must replay per extra shard.  Below it a worker pool
 #: costs more than it saves.  On a 2-core Xeon VM (CPython 3.11, NumPy
-#: 2.4), 16-point mixed sweeps with a cold plan cache (medians of 15
-#: interleaved runs, the pool forced at ``jobs=2``) took, at ``jobs=1``
-#: against ``jobs=2``: 22–23 vs 27–29 ms at 20k sends, 31–35 vs 33–36
-#: ms at 31k, 38–42 vs 38–42 ms at 41k, 51–53 vs 43–53 ms at 50k and
-#: 59–63 vs 48–53 ms at 60k.  A sweep of ``S`` sends uses at most
+#: 2.4), 16-point mixed sweeps over the ten broadcast families, both
+#: policies, with a cold plan cache (medians of 15 interleaved runs, the
+#: pool forced at ``jobs=2``) took, at ``jobs=1`` against ``jobs=2``:
+#: 16–24 vs 27–34 ms at 40k sends, 26–30 vs 33–34 ms at 50k, 36–37 vs
+#: 35–37 ms at 60k, 38–42 vs 37–41 ms at 70k and 53–55 vs 44–50 ms at
+#: 100k.  A sweep of ``S`` sends uses at most
 #: ``ceil(S / SHARD_MIN_SENDS)`` shards; one shard runs in-process.
-SHARD_MIN_SENDS = 40_000
+SHARD_MIN_SENDS = 60_000
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,10 @@ per time unit) and emits one packed integer key per send:
 * no per-event :class:`fractions.Fraction` arithmetic,
 * no recursion (explicit worklists throughout — ``n >= 10^6`` never
   touches the recursion limit),
+* each distinct piece of a schedule computed once: the split families
+  expand the first subrange of each size and copy every later one as a
+  key slice plus one integer, and DTREE emits its drain's closed-form
+  lattice, one slice of offsets per node,
 * one C-speed ``list.sort`` of packed integer keys instead of a
   ``Fraction``-comparing event sort.
 
@@ -29,14 +33,18 @@ engine, the closed-form oracles and the :mod:`repro.core.optimal` DP.
 
 Split points ``j = F_lambda(f_lambda(size) - 1)`` come from
 :class:`~repro.core.fibfunc.IntPrefix`, the ``F_lambda`` jump table
-tabulated directly in ticks at lambda's denominator, with a per-size
-memo — the recursion revisits only ``O(log^2 n)`` distinct subrange
-sizes, so split cost vanishes from the profile.
+tabulated directly in ticks at lambda's denominator.  BCAST, REPEAT,
+PACK, PIPELINE and BINOMIAL share one depth-first worklist
+(:func:`_split_keys`), which asks for a split point once per distinct
+subrange size — ``O(log^2 n)`` of them for BCAST, 55 at ``n = 10^5``
+and ``lambda = 5/2`` — so what is left of a compile is about one
+integer add per key and the sort.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from typing import Callable
 
 from repro.core.dtree import DTreeShape, resolve_degree
 from repro.core.fibfunc import IntPrefix, postal_f
@@ -73,63 +81,103 @@ def _ticks(scale: int, value: Time) -> int:
 # into a plain list; compile_plan and compile_schedule sort and decode them.
 
 
-def _bcast_keys(
-    keys: list[int],
-    sp: IntPrefix,
-    lo0: int,
-    size0: int,
-    t0: int,
-    one: int,
-    lam_ticks: int,
+def _split_keys(
     n: int,
     m: int,
-    msg: int,
-) -> None:
-    """Algorithm BCAST over ``lo0 .. lo0+size0-1`` in ticks, first send at
-    tick ``t0``, message index ``msg`` (shared by BCAST and REPEAT)."""
-    if size0 <= 1:
-        return
-    split = sp.split
+    t0: int,
+    keep_of: Callable[[int], int],
+    keep_ticks: int,
+    give_ticks: int,
+    row: tuple[int, ...] = (0,),
+) -> list[int]:
+    """The packed keys of a split recurrence over processors ``0 ..
+    n-1``, first send at tick ``t0`` (message index 0).
+
+    A subrange ``(lo, size, t)`` with ``size >= 2`` keeps its low ``keep =
+    keep_of(size)`` ranks: ``lo`` sends to ``lo + keep`` at tick ``t`` —
+    one key per entry of ``row``, each an offset from the first send's
+    key — then ``lo`` serves ``(lo, keep, t + keep_ticks)`` and ``lo +
+    keep`` serves ``(lo + keep, size - keep, t + give_ticks)``.  BCAST,
+    REPEAT, PACK, PIPELINE and BINOMIAL are this recurrence with their own
+    ``keep_of``, tick steps and row.
+
+    **Each size is expanded once.**  A subrange's sends depend on its size
+    alone, and a packed key ``t*n*m*n + s*m*n + k*n + r`` is linear in
+    tick, sender and receiver: moving a subrange by ``dlo`` processors
+    and ``dt`` ticks adds ``dlo*(m*n + 1) + dt*n*m*n`` to each of its
+    keys.  So the first subrange of a size is expanded, and every later
+    one is that subrange's key slice plus one integer — ``keep_of`` runs
+    once per distinct size (``O(log^2 n)`` of them for BCAST), and the
+    keys are copied at C speed.
+
+    **Each key is emitted once.**  The worklist is depth-first, so an
+    expanded subrange's keys — its own sends and all its descendants',
+    expanded or copied — are appended as one contiguous slice of
+    ``(size - 1) * len(row)`` keys from the index where its expansion
+    began.  Every subrange still open when another is popped is an
+    ancestor of it, hence strictly larger, so a size found in the memo
+    always names a complete slice.  The memo lives for this call only.
+    """
+    if n < 2:
+        return []
+    keys: list[int] = []
     append = keys.append
-    nm = n * m
-    stack = [(lo0, size0, t0)]
+    extend = keys.extend
+    per = len(row)
+    lo_unit = m * n + 1  # key step of one processor (sender and receiver)
+    t_unit = n * m * n  # key step of one tick
+    memo: dict[int, tuple[int, int]] = {}  # size -> (first key index, origin)
+    stack = [(0, n, t0)]
     push = stack.append
     pop = stack.pop
     while stack:
         lo, size, t = pop()
-        if size == 1:
+        origin = lo * lo_unit + t * t_unit
+        hit = memo.get(size)
+        if hit is not None:
+            a, first = hit
+            delta = origin - first
+            extend([key + delta for key in keys[a : a + (size - 1) * per]])
             continue
-        j = split(size)
-        append((t * nm + lo * m + msg) * n + lo + j)
-        push((lo, j, t + one))
-        push((lo + j, size - j, t + lam_ticks))
+        memo[size] = (len(keys), origin)
+        keep = keep_of(size)
+        key = origin + keep  # lo -> lo + keep at tick t, message 0
+        if per == 1:
+            append(key)
+        else:
+            extend([key + offset for offset in row])
+        if keep > 1:
+            push((lo, keep, t + keep_ticks))
+        if size - keep > 1:
+            push((lo + keep, size - keep, t + give_ticks))
+    return keys
 
 
 def _compile_bcast(n: int, m: int, lam: Time, scale: int) -> list[int]:
+    """BCAST: Lemma 3's split ``j = F_lambda(f_lambda(size) - 1)``; the
+    sender keeps ``j`` ranks and is free one unit later, the recipient
+    serves the rest from arrival, ``t + lambda``."""
     if m != 1:
         raise InvalidParameterError(
             f"BCAST broadcasts a single message; got m={m} "
             "(use REPEAT/PACK/PIPELINE for m > 1)"
         )
-    keys: list[int] = []
-    if n >= 2:
-        sp = IntPrefix(lam, n)
-        _bcast_keys(
-            keys, sp, 0, n, 0, scale, _ticks(scale, lam), n, 1, 0
-        )
-    return keys
+    split = IntPrefix(lam, n).split
+    return _split_keys(n, 1, 0, split, scale, _ticks(scale, lam))
 
 
 def _compile_repeat(n: int, m: int, lam: Time, scale: int) -> list[int]:
-    keys: list[int] = []
-    if n >= 2:
-        sp = IntPrefix(lam, n)
-        one = scale
-        lam_ticks = _ticks(scale, lam)
-        # iteration stride f_lambda(n) - (lambda - 1), exact (Lemma 10)
-        stride = _ticks(scale, postal_f(lam, n) - (lam - 1))
-        for i in range(m):
-            _bcast_keys(keys, sp, 0, n, i * stride, one, lam_ticks, n, m, i)
+    """REPEAT: ``m`` BCAST iterations, message ``i`` started at ``i``
+    strides of ``f_lambda(n) - (lambda - 1)`` (Lemma 10).  Iteration ``i``
+    is iteration 0 moved by ``i`` strides and ``i`` message indices, so
+    its keys are iteration 0's plus ``i * (stride*n*m*n + n)``."""
+    if n < 2:
+        return []
+    split = IntPrefix(lam, n).split
+    keys = _split_keys(n, m, 0, split, scale, _ticks(scale, lam))
+    stride = _ticks(scale, postal_f(lam, n) - (lam - 1))
+    step = stride * n * m * n + n
+    keys += [key + delta for delta in range(step, m * step, step) for key in keys]
     return keys
 
 
@@ -141,32 +189,13 @@ def _compile_pack(n: int, m: int, lam: Time, scale: int) -> list[int]:
     unpacks into unit sends at real times ``m*t' + k``; since ``(m*t') *
     q == t' * (q*m)``, the abstract tick value *is* the real tick of the
     pack's first unit — ``k``-th unit at ``tick + k*q``, exactly."""
-    keys: list[int] = []
-    if n < 2:
-        return keys
     q = scale
-    lam_packed = 1 + (lam - 1) / m
-    sp = IntPrefix(lam_packed, n)
+    split = IntPrefix(1 + (lam - 1) / m, n).split
     one_abs = q * m
     lam_abs = one_abs + (_ticks(scale, lam) - q)  # lambda' at scale q*m
-    split = sp.split
-    append = keys.append
-    nm = n * m
-    stack = [(0, n, 0)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        lo, size, t = pop()
-        if size == 1:
-            continue
-        j = split(size)
-        r = lo + j
-        base = t * nm + lo * m
-        for k in range(m):
-            append((base + k * q * nm + k) * n + r)
-        push((lo, j, t + one_abs))
-        push((r, size - j, t + lam_abs))
-    return keys
+    unit = q * n * m * n + n  # the next unit: q ticks on, message k + 1
+    row = tuple(k * unit for k in range(m))
+    return _split_keys(n, m, 0, split, one_abs, lam_abs, row)
 
 
 def _compile_pipeline(
@@ -178,37 +207,25 @@ def _compile_pipeline(
     lambda/m`` or ``m/lambda`` — the Lemma 14/16 role swap).  ``t0``
     offsets the whole stream (the ALLGATHER compiler starts it after the
     gather phase)."""
-    keys: list[int] = []
-    if n < 2:
-        return keys
     sender_first = m <= lam
     lam_p = (lam / m) if sender_first else (Time(m) / lam)
-    sp = IntPrefix(lam_p, n)
-    one = scale
-    m_ticks = m * one
-    lam_ticks = _ticks(scale, lam)
-    split = sp.split
-    append = keys.append
-    nm = n * m
-    stack = [(0, n, t0)]
-    push = stack.append
-    pop = stack.pop
-    while stack:
-        lo, size, t = pop()
-        if size == 1:
-            continue
-        j = split(size)
-        if sender_first:
-            keep, give = j, size - j
-        else:
-            keep, give = size - j, j
-        v = lo + keep
-        base = t * nm + lo * m
-        for k in range(m):
-            append((base + k * one * nm + k) * n + v)
-        push((lo, keep, t + m_ticks))
-        push((v, give, t + lam_ticks))
-    return keys
+    split = IntPrefix(lam_p, n).split
+    if sender_first:
+        keep_of = split
+    else:
+
+        def keep_of(size: int) -> int:
+            return size - split(size)
+
+    unit = scale * n * m * n + n  # the next message, one tick on
+    row = tuple(k * unit for k in range(m))
+    return _split_keys(n, m, t0, keep_of, m * scale, _ticks(scale, lam), row)
+
+
+def _binomial_keep(size: int) -> int:
+    """The low ranks a BINOMIAL sender keeps: ``size`` less the largest
+    power of two below it."""
+    return size - (1 << ((size - 1).bit_length() - 1))
 
 
 def _compile_binomial(n: int, m: int, lam: Time, scale: int) -> list[int]:
@@ -221,62 +238,60 @@ def _compile_binomial(n: int, m: int, lam: Time, scale: int) -> list[int]:
             f"BINOMIAL broadcasts a single message; got m={m} "
             "(use REPEAT/PACK/PIPELINE for m > 1)"
         )
-    keys: list[int] = []
-    append = keys.append
-    one = scale
-    lam_ticks = _ticks(scale, lam)
-    stack: list[tuple[int, int, int]] = [(0, n, 0)]
-    while stack:
-        base, size, t = stack.pop()
-        if size == 1:
-            continue
-        half = 1
-        while half * 2 < size:
-            half *= 2
-        j = size - half
-        append((t * n + base) * n + (base + j))  # m = 1: msg index 0
-        stack.append((base, j, t + one))
-        stack.append((base + j, half, t + lam_ticks))
-    return keys
+    return _split_keys(n, 1, 0, _binomial_keep, scale, _ticks(scale, lam))
 
 
 def _compile_dtree(
     n: int, m: int, lam: Time, scale: int, d: int
 ) -> list[int]:
-    """DTREE: the deterministic event-driven drain of Section 4.3 over the
-    BFS-numbered degree-``d`` tree, in ticks — the fixed point of
-    per-node FIFO send queues, message-major, children left to right."""
-    keys: list[int] = []
+    """DTREE: the event-driven drain of Section 4.3 over the BFS-numbered
+    degree-``d`` tree, in ticks, emitted as its closed-form fixed point.
+
+    In time units (``scale`` ticks each): the root has ``c = min(d, n -
+    1)`` children and every message on hand, so it sends message ``k``
+    to child ``i`` at ``k*c + i``.  No port below the root ever binds:
+    if a node's first message arrives at ``start``, message ``k``
+    arrives at ``start + k*c``, and the node — at most ``c`` children —
+    has forwarded message ``k - 1`` to all of them by ``start + (k-1)*c
+    + c``, before message ``k`` lands.  So it forwards each message on
+    the tick it arrives: message ``k`` to child ``i`` at ``start + k*c
+    + i``, and child ``i``'s first message arrives at ``start + i +
+    lambda``.  (By induction down the tree the arrivals are ``c`` apart
+    at every node, as they are at the root's children.)  A node's keys
+    are thus one ``m x c`` lattice of offsets plus one integer: the
+    first arrivals are computed a BFS level at a time, then every full
+    node's lattice is emitted in one pass.
+    """
     if n < 2:
-        return keys
+        return []
     one = scale
     lam_ticks = _ticks(scale, lam)
-    append = keys.append
-    nm = n * m
-    step = one * nm  # key increment for one send-port unit
-    # arrival tick of message k at node v, flat at v*m + k; BFS numbering
-    # writes every parent before its children read.
-    arrival = [0] * (n * m)
-    for v in range(n):
-        first = d * v + 1
-        if first >= n:
-            continue
-        last = min(first + d, n)
-        port_free = 0
-        base_v = v * m
-        for k in range(m):
-            ready = arrival[base_v + k]
-            if port_free > ready:
-                t = port_free
-            else:
-                t = ready
-            row = t * nm + base_v + k
-            for c in range(first, last):
-                append(row * n + c)
-                t += one
-                row += step
-                arrival[c * m + k] = t - one + lam_ticks
-            port_free = t
+    c = min(d, n - 1)
+    full, rest = divmod(n - 1, c)  # nodes below `full` have c children
+    t_unit = n * m * n
+    msg_step = c * one * t_unit + n  # message k + 1: c ticks on
+    child_step = one * t_unit + 1  # child i + 1: one tick on
+    lattice = [k * msg_step + i * child_step for k in range(m) for i in range(c)]
+    hops = [lam_ticks + i * one for i in range(c)]
+    start = [0]  # tick of each node's first arrival, in BFS order
+    lo = 0
+    while lo < full:  # the children of one BFS level of full nodes
+        hi = min(len(start), full)
+        start += [s + hop for s in start[lo:hi] for hop in hops]
+        lo = hi
+    node_step = m * n + c  # sender v + 1, first child c further
+    keys = [
+        s * t_unit + v * node_step + 1 + x
+        for v, s in enumerate(start[:full])
+        for x in lattice
+    ]
+    if rest:  # the last internal node has fewer than c children
+        base = start[full] * t_unit + full * node_step + 1
+        keys += [
+            base + k * msg_step + i * child_step
+            for k in range(m)
+            for i in range(rest)
+        ]
     return keys
 
 

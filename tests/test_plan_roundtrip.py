@@ -17,7 +17,10 @@ latencies (5/2, 7/3 included), plus:
 * the ``to_bytes``/``from_bytes`` disk format and its corruption modes,
 * the :class:`~repro.plan.PlanCache` levels — mem hit identity, LRU
   eviction, disk persistence across a *fresh process*, off mode,
-* the recursion-limit guard: builders and compilers stay iterative.
+* the recursion-limit guard: builders and compilers stay iterative,
+* the copied subtrees: at sizes where most subranges repeat, the split
+  compilers' shifted copies and DTREE's per-node lattices still equal
+  the protocols, and each subrange size is split once.
 """
 
 import subprocess
@@ -89,6 +92,76 @@ def test_plan_events_byte_identical_to_builder(family, lam_str):
         assert got.events == ref.events, f"{family} n={n} m={m} lam={lam_str}"
         assert plan.completion_time() == ref.completion_time()
         assert plan.event_count == len(ref.events)
+
+
+#: Sizes where most subranges repeat an earlier size, so the split
+#: compilers emit most keys as shifted copies and DTREE most nodes as
+#: shifted lattices.
+COPY_GRID = [(700, 1), (1001, 4)]
+
+
+@pytest.mark.parametrize("lam_str", ["5/2", "37/3"])
+@pytest.mark.parametrize("family", plan_families())
+def test_copied_subtrees_match_the_protocol(family, lam_str):
+    """Where copies dominate, the plan still equals the schedule the
+    family's event-driven protocol realizes (on the turbo lane, which
+    the turbo suite pins equal to the exact engine)."""
+    oracle = get_oracle(family)
+    lam = as_time(lam_str)
+    grid = [(n, m) for n, m in COPY_GRID if oracle.applicable(n, m, lam)]
+    if not grid:
+        pytest.skip(f"no applicable (n, m) for {family} at lambda={lam_str}")
+    for n, m in grid:
+        ref = run_protocol(
+            oracle.protocol(n, m, lam), backend="turbo", collect=False
+        ).schedule
+        got = compile_plan(family, n, m, lam).to_schedule()
+        assert got.events == ref.events, f"{family} n={n} m={m}"
+
+
+@pytest.mark.parametrize(
+    "d, n, m",
+    [
+        (3, 700, 2),  # 699 = 3*233: every internal node full
+        (3, 701, 3),  # the last internal node has one child of three
+        (5, 703, 2),  # ... two children of five
+        (5, 1000, 4),  # ... four children of five
+        (5, 4, 3),  # n - 1 < d: the star of the three others
+    ],
+)
+@pytest.mark.parametrize("lam_str", ["5/2", "37/3"])
+def test_dtree_lattice_matches_the_protocol(d, n, m, lam_str):
+    """DTREE's closed-form drain equals the event-driven protocol, also
+    where the last internal node is short of children or ``d`` exceeds
+    ``n - 1``."""
+    from repro.algorithms import DTreeProtocol
+
+    lam = as_time(lam_str)
+    ref = run_protocol(
+        DTreeProtocol(n, m, lam, d), backend="turbo", collect=False
+    ).schedule
+    assert compile_plan(f"DTREE-{d}", n, m, lam).to_schedule().events == (
+        ref.events
+    )
+
+
+def test_each_subrange_size_is_split_once(monkeypatch):
+    """BCAST expands one subrange per distinct size and copies the rest:
+    n = 10^5 needs a few dozen split points, not one per send."""
+    from repro.core.fibfunc import IntPrefix
+
+    calls = []
+    split = IntPrefix.split
+
+    def counting_split(self, size):
+        calls.append(size)
+        return split(self, size)
+
+    monkeypatch.setattr(IntPrefix, "split", counting_split)
+    plan = compile_plan("BCAST", 10**5, 1, "5/2")
+    assert plan.event_count == 10**5 - 1
+    assert len(calls) == len(set(calls))
+    assert len(calls) < 1000
 
 
 @pytest.mark.parametrize("lam_str", LAMBDAS)
@@ -460,8 +533,11 @@ def test_bad_cache_mode_rejected():
         lambda: compile_plan("BCAST", 3000, 1, "5/2"),
         lambda: compile_plan("PIPELINE", 3000, 3, "5/2"),
         lambda: compile_plan("REPEAT", 3000, 2, 2),
+        lambda: compile_plan("PACK", 3000, 2, "5/2"),
+        lambda: compile_plan("BINOMIAL", 3000, 1, 2),
+        lambda: compile_plan("DTREE-LINE", 3000, 1, "5/2"),
     ],
-    ids=["bcast", "pipeline", "repeat"],
+    ids=["bcast", "pipeline", "repeat", "pack", "binomial", "dtree-line"],
 )
 def test_compilers_are_iterative(build):
     """No compiler touches the recursion limit, at any n (satellite of

@@ -16,7 +16,9 @@ returns, and builds trace records only when someone reads
 * the columnar :class:`~repro.obs.metrics.RunMetrics` against the trace
   fold and against the turbo lane, on the replay equivalence grid;
 * the lazy tracer: nothing is built by a default run, and reading it
-  from inside a wrapper of ``flush_trace`` does not recurse.
+  from inside a wrapper of ``flush_trace`` does not recurse;
+* the lane's claimed scale: an audited BCAST replay at n = 10^6
+  (``slow``, nightly).
 """
 
 from array import array
@@ -33,7 +35,7 @@ from repro.core.fibfunc import check_informed_bound, postal_F
 from repro.core.schedule import Schedule, SendEvent
 from repro.errors import ScheduleError, SimultaneousIOError
 from repro.obs.metrics import collect_metrics
-from repro.plan import SchedulePlan, compile_plan
+from repro.plan import PlanCache, SchedulePlan, compile_plan
 from repro.postal.machine import ContentionPolicy
 from repro.postal.runner import run_protocol
 from repro.postal.validator import validate_run
@@ -386,3 +388,21 @@ def test_tracer_read_inside_a_flush_trace_wrapper_does_not_recurse(monkeypatch):
     assert seen == [2 * system.send_count]
     assert len(tracer) == 2 * system.send_count
     assert system.tracer is tracer
+
+
+# ------------------------------------------------------ the claimed scale
+
+
+@pytest.mark.slow
+def test_audited_replay_at_a_million_processors(monkeypatch):
+    """The replay lane is the large-n tier: BCAST at n = 10^6, lambda = 2,
+    with the default audit, completes at the closed form with n - 1
+    sends.  The plan goes to a private in-memory cache, so no plan of
+    this size outlives the test (about 5 s and 0.5 GB)."""
+    import repro.plan.cache
+
+    monkeypatch.setattr(repro.plan.cache, "_DEFAULT", PlanCache(mode="mem"))
+    n = 10**6
+    result = run_protocol("BCAST", n=n, lam=2, backend="replay")
+    assert result.completion_time == get_oracle("BCAST").time(n, 1, as_time(2))
+    assert result.sends == n - 1
