@@ -21,16 +21,18 @@ paces each processor's single send at its reversed-schedule time
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import Any, Callable, Generator, Iterable
 
 from repro.algorithms.base import Protocol
 from repro.core.bcast import BroadcastTree, bcast_schedule
 from repro.core.fibfunc import postal_f
-from repro.core.schedule import SendEvent, check_intervals_disjoint
-from repro.errors import ScheduleError, SimultaneousIOError
+from repro.core.schedule import SendEvent, tick_columns
+from repro.errors import InvalidParameterError, ScheduleError
+from repro.plan.columns import audit_columns
 from repro.postal.machine import PostalSystem
 from repro.sim.engine import Event
-from repro.types import ONE, ProcId, Time, TimeLike, as_time, time_repr
+from repro.types import ProcId, Time, TimeLike, as_time, time_repr
 
 __all__ = ["reduce_time", "ReductionSchedule", "reduce_schedule", "ReduceProtocol"]
 
@@ -45,10 +47,11 @@ class ReductionSchedule:
     one partial value; values flow root-ward.
 
     Shares :class:`~repro.core.schedule.SendEvent` with broadcast schedules
-    but has its own (reduction-specific) validation: ports disjoint, one
-    send per non-root processor, and every send departs no earlier than all
-    of the sender's incoming arrivals (you cannot forward a partial value
-    you have not finished combining).
+    but has its own (reduction-specific) validation: the postal audit of
+    ranges and ports (:func:`~repro.plan.columns.audit_columns`, without
+    broadcast semantics), one send per non-root processor, and every send
+    departs no earlier than all of the sender's incoming arrivals (you
+    cannot forward a partial value you have not finished combining).
     """
 
     def __init__(
@@ -60,8 +63,17 @@ class ReductionSchedule:
         root: ProcId = 0,
         validate: bool = True,
     ):
+        if n < 1:
+            raise InvalidParameterError(f"need n >= 1 processors, got {n}")
+        lam = as_time(lam)
+        if lam < 1:
+            raise InvalidParameterError(
+                f"the postal model requires lambda >= 1, got {lam}"
+            )
+        if not 0 <= root < n:
+            raise InvalidParameterError(f"root p{root} outside 0..{n - 1}")
         self.n = n
-        self.lam = as_time(lam)
+        self.lam = lam
         self.root = root
         self.events: tuple[SendEvent, ...] = tuple(sorted(events))
         if validate:
@@ -75,40 +87,42 @@ class ReductionSchedule:
         )
 
     def validate(self) -> None:
-        senders: set[ProcId] = set()
-        incoming_last: dict[ProcId, Time] = {}
-        for ev in self.events:
-            if ev.sender in senders:
-                raise ScheduleError(
-                    f"p{ev.sender} sends twice in a reduction"
-                )
-            senders.add(ev.sender)
-        if senders != set(range(self.n)) - {self.root}:
+        """Check the postal model and the two reduction rules.
+
+        Raises:
+            ScheduleError: a processor id out of range, a self-send, a
+                negative send time, a processor that sends twice or a
+                non-root one that never sends, or a send departing before
+                the sender's last incoming value lands.
+            SimultaneousIOError: two partial values arrive at (or two
+                sends leave) one processor less than a unit apart.
+        """
+        n, lam, events = self.n, self.lam, self.events
+        scale, ticks, senders, msgs, receivers = tick_columns(lam, events)
+        lam_ticks = lam.numerator * (scale // lam.denominator)
+        arrivals = [t + lam_ticks for t in ticks]
+        audit_columns(
+            senders, msgs, receivers, ticks, arrivals, range(len(ticks)),
+            n=n, scale=scale, lam_ticks=lam_ticks, broadcast=False,
+        )
+        sent = [False] * n
+        for proc in senders:
+            if sent[proc]:
+                raise ScheduleError(f"p{proc} sends twice in a reduction")
+            sent[proc] = True
+        if sent[self.root] or len(senders) != n - 1:
             raise ScheduleError(
                 "a reduction needs exactly one send per non-root processor"
             )
-        for ev in self.events:
-            incoming_last[ev.receiver] = max(
-                incoming_last.get(ev.receiver, Time(0)),
-                ev.arrival_time(self.lam),
-            )
-        for ev in self.events:
-            last_in = incoming_last.get(ev.sender)
-            if last_in is not None and ev.send_time < last_in:
+        last_in = [-1] * n  # last incoming arrival tick per processor
+        for proc, arrival in zip(receivers, arrivals):
+            if arrival > last_in[proc]:
+                last_in[proc] = arrival
+        for ev, tick, proc in zip(events, ticks, senders):
+            if tick < last_in[proc]:
                 raise ScheduleError(
-                    f"{ev}: departs before p{ev.sender}'s last incoming "
-                    f"partial value at t={time_repr(last_in)}"
-                )
-        for proc in range(self.n):
-            recv_windows = [
-                (ev.arrival_time(self.lam) - ONE, ev.arrival_time(self.lam))
-                for ev in self.events
-                if ev.receiver == proc
-            ]
-            clash = check_intervals_disjoint(recv_windows)
-            if clash is not None:
-                raise SimultaneousIOError(
-                    f"p{proc} receives two partial values at once"
+                    f"{ev}: departs before p{proc}'s last incoming partial "
+                    f"value at t={time_repr(Fraction(last_in[proc], scale))}"
                 )
 
 

@@ -191,24 +191,22 @@ def _certify_schedule(
         )
 
     # Lemma 5 certificate: for every message, the informed population at
-    # each arrival instant never exceeds F_lambda(t) — the replay audit's
-    # integer check, at the schedule's own (uncapped) denominator
+    # each arrival instant never exceeds F_lambda(t) — the audit sweep's
+    # integer check, run on its own here so that no earlier failure masks it
     def lemma5() -> None:
         arrivals = [
             (k, t)
             for (proc, k), t in schedule.arrivals().items()
-            if proc != schedule.root
+            if proc != schedule.root and 0 <= k < schedule.m
         ]
         scale = math.lcm(
             lam.denominator, *(t.denominator for _, t in arrivals)
         )
+        arrived: list[list[int]] = [[] for _ in range(schedule.m)]
+        for k, t in arrivals:
+            arrived[k].append(t.numerator * (scale // t.denominator))
         try:
-            check_informed_bound(
-                lam,
-                scale,
-                [k for k, _ in arrivals],
-                [t.numerator * (scale // t.denominator) for _, t in arrivals],
-            )
+            check_informed_bound(lam, scale, arrived)
         except ScheduleError as exc:
             result.violations.append(str(exc))
 

@@ -39,7 +39,7 @@ import bisect
 import heapq
 from collections import OrderedDict
 from fractions import Fraction
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from repro.core.stepfunc import StepFunction
 from repro.errors import InvalidParameterError, ScheduleError
@@ -304,16 +304,16 @@ def postal_f(lam: TimeLike, n: int) -> Fraction:
 
 
 def check_informed_bound(
-    lam: TimeLike, scale: int, msgs: Iterable[int], arrivals: Iterable[int]
+    lam: TimeLike, scale: int, arrived: Sequence[Sequence[int]]
 ) -> None:
     """The Lemma 5 certificate ``N(t) <= F_lambda(t)`` over integer ticks.
 
-    *msgs* and *arrivals* are parallel: one delivery each, its message
-    index and its arrival tick (``scale`` ticks per time unit, *scale* a
-    multiple of lambda's denominator).  The originator holds every
-    message from ``t = 0`` and is not listed.  Counting it as the first
-    arrival, the ``k``-th smallest arrival tick ``t`` of every message
-    must satisfy ``k <= F_lambda(t)``.
+    ``arrived[k]`` lists the arrival ticks of message ``k``'s deliveries
+    (``scale`` ticks per time unit, *scale* a multiple of lambda's
+    denominator), in any order.  The originator holds every message
+    from ``t = 0`` and is not listed.  Counting it as the first arrival,
+    the ``j``-th smallest arrival tick ``t`` of every message must
+    satisfy ``j <= F_lambda(t)``.
 
     The informed count only matters just before each jump of
     ``F_lambda``, so the check costs one bisect per jump and message,
@@ -323,19 +323,16 @@ def check_informed_bound(
         ScheduleError: the first violation of the lowest such message,
             reported at the arrival that breaks the bound.
     """
-    per_msg: dict[int, list[int]] = {}
-    for k, t in zip(msgs, arrivals):
-        per_msg.setdefault(k, []).append(t)
-    if not per_msg:
+    longest = max(map(len, arrived), default=0)
+    if not longest:
         return
-    top = 1 + max(map(len, per_msg.values()))
-    # tabulated up to f(top): beyond it F_lambda(t) >= top >= any count
-    prefix = IntPrefix(lam, top)
+    # tabulated up to f(longest + 1): beyond it F_lambda(t) exceeds any count
+    prefix = IntPrefix(lam, longest + 1)
     factor = scale // prefix.scale
     times = [t * factor for t in prefix.times]
     values = prefix.values
-    for k in sorted(per_msg):
-        ticks = sorted(per_msg[k])
+    for k, arrivals in enumerate(arrived):
+        ticks = sorted(arrivals)
         for j in range(len(values) - 1):
             bound = values[j]
             if bound > len(ticks):

@@ -9,7 +9,11 @@ PIPELINE, DTREE, and the baselines — compiles to the same IR: a
   paper): senders hold the message they send, send ports are busy for one
   unit per message, receive ports are busy during ``[t+lambda-1, t+lambda]``,
   and no port is driven twice at once (simultaneous I/O allows one send plus
-  one receive, never two of the same kind);
+  one receive, never two of the same kind), then carry the paper's
+  certificates, Lemma 5 and Lemma 8.  The events become integer ticks
+  once (:func:`tick_columns`) and one
+  :func:`~repro.plan.columns.audit_columns` sweep checks them, the same
+  audit that checks plans and the fast lanes' runs;
 * report its **completion time** (arrival of the last message at the last
   processor — the paper's ``T_A(n, m, lambda)``);
 * expose per-processor arrival times and the "informed processors" step
@@ -22,20 +26,15 @@ conflict, exactly as the paper's algorithms require.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import chain
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from repro.core.stepfunc import TabulatedStepFunction
-from repro.errors import (
-    InvalidParameterError,
-    ScheduleError,
-    SimultaneousIOError,
-)
-from repro.types import ONE, ProcId, Time, TimeLike, ZERO, as_time, time_repr
+from repro.errors import InvalidParameterError, ScheduleError
+from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
 
-__all__ = ["SendEvent", "Schedule", "check_intervals_disjoint"]
+__all__ = ["SendEvent", "Schedule", "tick_columns"]
 
 
 @dataclass(frozen=True, order=True)
@@ -71,16 +70,23 @@ class SendEvent:
         )
 
 
-def check_intervals_disjoint(
-    intervals: Iterable[tuple[Time, Time]],
-) -> tuple[Time, Time, Time, Time] | None:
-    """Return the first overlapping pair among half-open intervals, or
-    ``None`` if all are pairwise disjoint.  Input need not be sorted."""
-    ordered = sorted(intervals)
-    for (s1, e1), (s2, e2) in zip(ordered, ordered[1:]):
-        if s2 < e1:  # half-open: touching endpoints are fine
-            return (s1, e1, s2, e2)
-    return None
+def tick_columns(
+    lam: Time, events: Sequence[SendEvent]
+) -> tuple[int, list[int], list[ProcId], list[int], list[ProcId]]:
+    """*events* as integer columns ``(scale, ticks, senders, msgs,
+    receivers)``.
+
+    *scale* is the least common multiple of the denominators of *lam*
+    and of every send time, a plain ``int`` with no cap, and
+    ``ticks[i] = events[i].send_time * scale`` exactly.
+    """
+    times = [ev.send_time for ev in events]
+    scale = math.lcm(lam.denominator, *{t.denominator for t in times})
+    ticks = [t.numerator * (scale // t.denominator) for t in times]
+    senders = [ev.sender for ev in events]
+    msgs = [ev.msg for ev in events]
+    receivers = [ev.receiver for ev in events]
+    return scale, ticks, senders, msgs, receivers
 
 
 class Schedule:
@@ -249,134 +255,37 @@ class Schedule:
     # ----------------------------------------------------------- validation
 
     def validate(self) -> None:
-        """Check full conformance with the postal model.
+        """Check full conformance with the postal model, then the paper's
+        certificates.
+
+        The send times become integer ticks once, at the exact common
+        denominator of lambda and every send time
+        (:func:`tick_columns`), and one
+        :func:`~repro.plan.columns.audit_columns` sweep checks them:
+        ranges, possession, single delivery, full coverage, the one-unit
+        port gaps, then Lemma 5 and Lemma 8.
 
         Raises:
             ScheduleError: structural problems — processor ids out of range,
                 message ids out of range, a duplicate delivery, a sender
                 transmitting a message it does not hold yet, sending to
-                oneself, or an undelivered ``(processor, msg)`` pair.
+                oneself, or an undelivered ``(processor, msg)`` pair — or
+                a failed certificate.
             SimultaneousIOError: two sends (or two receives) at one
                 processor overlap in time.
         """
-        lam = self._lam
-        for ev in self._events:
-            if not 0 <= ev.sender < self._n:
-                raise ScheduleError(f"sender out of range in {ev}")
-            if not 0 <= ev.receiver < self._n:
-                raise ScheduleError(f"receiver out of range in {ev}")
-            if ev.sender == ev.receiver:
-                raise ScheduleError(f"self-send in {ev}")
-            if not 0 <= ev.msg < self._m:
-                raise ScheduleError(f"message index out of range in {ev}")
-            if ev.send_time < 0:
-                raise ScheduleError(f"negative send time in {ev}")
-
-        arrivals = self.arrivals()  # also detects duplicate deliveries
-
-        # every sender must hold the message when it starts sending
-        for ev in self._events:
-            held_from = arrivals.get((ev.sender, ev.msg))
-            if held_from is None:
-                raise ScheduleError(
-                    f"{ev}: p{ev.sender} never obtains M{ev.msg + 1}"
-                )
-            if ev.send_time < held_from:
-                raise ScheduleError(
-                    f"{ev}: p{ev.sender} only holds M{ev.msg + 1} from "
-                    f"t={time_repr(held_from)}"
-                )
-
-        # full coverage: all n-1 non-root processors get all m messages
-        expected = self._n * self._m
-        if len(arrivals) != expected:
-            missing = [
-                (p, k)
-                for p in range(self._n)
-                for k in range(self._m)
-                if (p, k) not in arrivals
-            ]
-            p, k = missing[0]
-            raise ScheduleError(
-                f"incomplete broadcast: p{p} never receives M{k + 1} "
-                f"({len(missing)} deliveries missing)"
-            )
-
-        # port busy intervals: one send and one receive at a time, half-open
-        self._audit_port_sweep()
-
-    def _audit_port_sweep(self) -> None:
-        """Check the simultaneous-I/O property with a sort-and-sweep.
-
-        Every send occupies its port for exactly one unit
-        (``[t, t+1)``) and every receive likewise
-        (``[t+lambda-1, t+lambda)``), so two intervals on the same port
-        overlap **iff** their sorted start times differ by less than one
-        unit.  That reduces the audit to a per-processor sort of start
-        times plus one adjacent-gap pass — ``O(E log E)`` overall,
-        replacing the quadratic risk (and, more importantly in practice,
-        the per-comparison ``Fraction`` arithmetic) of checking interval
-        pairs.
-
-        When all times in the schedule lie on a common tick grid — the
-        LCM of denominators fits :data:`repro.turbo.ticks.MAX_SCALE`,
-        which holds for every builder in this library — the sweep sorts
-        plain ``int`` ticks, which is what makes validation scale to
-        ``10^5+`` events.  Off-grid schedules fall back to the same
-        sweep over exact ``Fraction`` starts.
-
-        Raises:
-            SimultaneousIOError: two sends (or two receives) at one
-                processor overlap in time.
-        """
-        from repro.turbo.ticks import lcm_denominator
+        # local: repro.plan imports this module
+        from repro.plan.columns import audit_columns
 
         lam = self._lam
-        events = self._events
-        scale = lcm_denominator(
-            chain((lam,), (ev.send_time for ev in events))
+        scale, ticks, senders, msgs, receivers = tick_columns(lam, self._events)
+        lam_ticks = lam.numerator * (scale // lam.denominator)
+        audit_columns(
+            senders, msgs, receivers,
+            ticks, [t + lam_ticks for t in ticks], range(len(ticks)),
+            n=self._n, scale=scale, lam_ticks=lam_ticks, m=self._m,
+            root=self._root,
         )
-        send_starts: dict[ProcId, list] = {}
-        recv_starts: dict[ProcId, list] = {}
-        if scale is not None:
-            # integer fast path: start ticks; a unit is `scale` ticks
-            lam_off = lam.numerator * (scale // lam.denominator) - scale
-            for ev in events:
-                t = ev.send_time
-                tick = t.numerator * (scale // t.denominator)
-                send_starts.setdefault(ev.sender, []).append(tick)
-                recv_starts.setdefault(ev.receiver, []).append(tick + lam_off)
-            unit: object = scale
-
-            def to_time(start: object) -> Time:
-                return Fraction(start, scale)
-
-        else:
-            # exact fallback: sweep over Fraction starts directly
-            lam_off_f = lam - ONE
-            for ev in events:
-                send_starts.setdefault(ev.sender, []).append(ev.send_time)
-                recv_starts.setdefault(ev.receiver, []).append(
-                    ev.send_time + lam_off_f
-                )
-            unit = ONE
-
-            def to_time(start: object) -> Time:
-                return start  # type: ignore[return-value]
-
-        for kind, table in (("send", send_starts), ("receive", recv_starts)):
-            for proc, starts in table.items():
-                starts.sort()
-                prev = None
-                for s in starts:
-                    if prev is not None and s - prev < unit:  # type: ignore[operator]
-                        a, c = to_time(prev), to_time(s)
-                        raise SimultaneousIOError(
-                            f"p{proc} drives two {kind}s at once: busy "
-                            f"[{time_repr(a)},{time_repr(a + ONE)}) and "
-                            f"[{time_repr(c)},{time_repr(c + ONE)})"
-                        )
-                    prev = s
 
     # ------------------------------------------------------------- utility
 

@@ -29,10 +29,12 @@ layer comes from; the integer-only construction (no per-event
 ``Fraction`` arithmetic) is where the build-time win comes from.
 
 The plan validates itself *in place*: :meth:`audit` runs the full postal
-certification (structure, sender-holds, duplicate/complete coverage, and
-the simultaneous-I/O port sweep) directly over the integer columns
-without materializing a single event object — the same
-:func:`audit_columns` sweep that audits a replay's realized times — and
+certification (structure, sender-holds, duplicate/complete coverage, the
+simultaneous-I/O port sweep, then the paper's Lemma 5 and Lemma 8
+certificates) directly over the integer columns without materializing a
+single event object.  :func:`audit_columns` is the library's one postal
+audit: the same sweep checks a :class:`~repro.core.schedule.Schedule`'s
+events and a replay's or turbo run's realized times — and
 :meth:`replay` feeds the columns straight into the turbo event loop
 (:mod:`repro.turbo.fastsim`) without re-deriving ticks.
 
@@ -46,10 +48,13 @@ from __future__ import annotations
 import json
 import sys
 from array import array
+from fractions import Fraction
 from itertools import repeat
-from typing import Iterator, NoReturn
+from typing import Iterator, NoReturn, Sequence
 
-from repro.core.schedule import Schedule, SendEvent
+from repro.core.analysis import multi_lower_bound
+from repro.core.fibfunc import check_informed_bound
+from repro.core.schedule import Schedule, SendEvent, tick_columns
 from repro.errors import (
     InvalidParameterError,
     ModelError,
@@ -57,10 +62,10 @@ from repro.errors import (
     ScheduleError,
     SimultaneousIOError,
 )
-from repro.turbo.ticks import TickDomain, lcm_denominator
+from repro.turbo.ticks import TickDomain
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
 
-__all__ = ["SchedulePlan", "audit_columns"]
+__all__ = ["SchedulePlan", "audit_columns", "check_certificates"]
 
 #: Magic prefix of the on-disk plan format (bumped on layout changes).
 _MAGIC = b"repro-plan/1\n"
@@ -238,44 +243,23 @@ class SchedulePlan:
     def from_schedule(
         cls, schedule: Schedule, *, family: str = "SCHEDULE"
     ) -> "SchedulePlan":
-        """Compress a :class:`Schedule` into columnar form (lossless).
+        """Compress a :class:`Schedule` into columnar form (lossless),
+        on the schedule's own tick grid
+        (:func:`~repro.core.schedule.tick_columns`).
 
         Raises:
             TickDomainError: the schedule's times do not lie on a common
                 tick grid within :data:`repro.turbo.ticks.MAX_SCALE`.
         """
-        from repro.errors import TickDomainError
-
-        scale = lcm_denominator(
-            [schedule.lam, *(ev.send_time for ev in schedule.events)]
-        )
-        if scale is None:
-            raise TickDomainError(
-                "schedule times have no common denominator within the "
-                "supported tick scale; the plan layer cannot represent it"
-            )
+        scale, *columns = tick_columns(schedule.lam, schedule.events)
         domain = TickDomain(scale)
-        count = len(schedule.events)
-        ticks = array("q", bytes(8 * count))
-        senders = array("q", bytes(8 * count))
-        msgs = array("q", bytes(8 * count))
-        receivers = array("q", bytes(8 * count))
-        for i, ev in enumerate(schedule.events):
-            t = ev.send_time
-            ticks[i] = t.numerator * (scale // t.denominator)
-            senders[i] = ev.sender
-            msgs[i] = ev.msg
-            receivers[i] = ev.receiver
         return cls(
             family,
             schedule.n,
             schedule.m,
             schedule.lam,
             domain,
-            ticks,
-            senders,
-            msgs,
-            receivers,
+            *(array("q", column) for column in columns),
             root=schedule.root,
         )
 
@@ -319,16 +303,18 @@ class SchedulePlan:
     def audit(self) -> None:
         """Full postal-model certification, in place over the columns.
 
-        The same checks as :meth:`Schedule.validate
+        The same audit as :meth:`Schedule.validate
         <repro.core.schedule.Schedule.validate>` — structural ranges,
         sender-holds-message causality, duplicate and missing deliveries,
-        and the simultaneous-I/O port audit — in pure integer arithmetic
-        with no event materialization: :func:`audit_columns` over the
-        planned times (``ticks`` and ``ticks + lambda``) in row order.
+        the simultaneous-I/O port audit, then the paper's certificates,
+        Lemma 5 and Lemma 8 — in pure integer arithmetic with no event
+        materialization: :func:`audit_columns` over the planned times
+        (``ticks`` and ``ticks + lambda``) in row order.
 
         Raises:
             ScheduleError: structural violation (range, causality,
-                duplicate or incomplete delivery, unsorted columns).
+                duplicate or incomplete delivery, unsorted columns) or a
+                failed certificate.
             SimultaneousIOError: two sends (or two receives) overlap at
                 one processor.
         """
@@ -360,8 +346,8 @@ class SchedulePlan:
         audit_columns(
             self.senders, self.msgs, self.receivers,
             self.ticks, arrivals, range(len(arrivals)),
-            n=self.n, domain=self.domain, lam_ticks=lam_ticks, m=self.m,
-            root=self.root, broadcast=broadcast,
+            n=self.n, scale=self.domain.scale, lam_ticks=lam_ticks,
+            m=self.m, root=self.root, broadcast=broadcast,
         )
 
     # -------------------------------------------------------------- replay
@@ -549,7 +535,7 @@ def audit_columns(
     order,
     *,
     n: int,
-    domain: TickDomain,
+    scale: int,
     lam_ticks: int,
     m: "int | None" = None,
     root: ProcId = 0,
@@ -562,25 +548,33 @@ def audit_columns(
     """The postal-model audit of one run: one linear sweep over integer
     columns, with no event materialization.
 
-    Used on a plan's own times by :meth:`SchedulePlan.audit` and
-    :meth:`SchedulePlan.audit_ports`, and on a run's realized times by
-    :meth:`ReplaySystem.audit <repro.turbo.replay.ReplaySystem.audit>`
-    and :meth:`TurboSystem.audit <repro.turbo.fastsim.TurboSystem.audit>`.
+    The library's only check of the model on a schedule or a run: used
+    on a schedule's events by :meth:`Schedule.validate
+    <repro.core.schedule.Schedule.validate>` and :class:`ReductionSchedule
+    <repro.collectives.reduce.ReductionSchedule>`, on a plan's own times
+    by :meth:`SchedulePlan.audit` and :meth:`SchedulePlan.audit_ports`,
+    and on a run's realized times by :meth:`ReplaySystem.audit
+    <repro.turbo.replay.ReplaySystem.audit>` and :meth:`TurboSystem.audit
+    <repro.turbo.fastsim.TurboSystem.audit>`.
 
     Args:
         senders / msgs / receivers / starts / arrivals: per-row columns
             (any sequences indexed alike): who sends which message to
             whom, its send-start tick and its arrival tick.
         order: the rows to audit, in nondecreasing start order.
-        n / domain / lam_ticks: the machine — processor count, tick grid
-            and ``lambda`` in ticks.
+        n / scale / lam_ticks: the machine — processor count, ticks per
+            time unit (any positive ``int``) and ``lambda`` in ticks.
         m: message ids must lie in ``0..m-1``; ``None`` leaves them
             unbounded (a collective's ids need not fit the protocol's
             ``m``).  Broadcast runs need it.
         root: the broadcast originator.
         broadcast: also check single-root broadcast semantics — every
             sender holds what it sends, nobody receives a message twice,
-            and every processor receives every message.
+            and every processor receives every message.  With uniform
+            latency (*lats* ``None``) a broadcast that passes then
+            carries the paper's certificates
+            (:func:`check_certificates`), fed by the arrivals the sweep
+            collects per message.
         queued: arrivals may come later than their due tick (the queued
             contention policy); otherwise they must equal it.
         fifo: (queued) every arrival must also be the work-conserving
@@ -605,17 +599,21 @@ def audit_columns(
         ScheduleError: structural violation (range, self-send, negative
             or unsorted start, arrival before its due tick or — not
             queued — after it, causality, duplicate or incomplete
-            delivery).
+            delivery) or a failed certificate.
         SimultaneousIOError: two sends (or two receives) overlap at one
             processor.
         ModelError: (*fifo*) a queued arrival later than its port's
             contention explains.
     """
-    one = domain.scale
-    to_time = domain.to_time
+    one = scale
+
+    def to_time(tick: int) -> Time:
+        return Fraction(tick, scale)
 
     # broadcast: arrival tick per (proc, msg); -1 = not yet delivered
     held_from = [-1] * (n * m if broadcast else 0)
+    # broadcast: each message's arrival ticks, for the certificates
+    arrived: list[list[int]] = [[] for _ in range(m if broadcast else 0)]
     if broadcast:
         for k in range(m):
             held_from[root * m + k] = 0
@@ -634,6 +632,10 @@ def audit_columns(
     )
     prev_tick = -1
     for t, a, lat, s, k, r in rows:
+        if t < 0:
+            raise ScheduleError(
+                f"negative send time t={time_repr(to_time(t))} at p{s}"
+            )
         if t < prev_tick:
             raise ScheduleError(
                 f"columns are not tick-sorted ({t} after {prev_tick})"
@@ -649,8 +651,6 @@ def audit_columns(
             )
         if m is not None and not 0 <= k < m:
             raise ScheduleError(f"message index {k} out of range 0..{m - 1}")
-        if t < 0:
-            raise ScheduleError(f"negative send tick {t} at p{s}")
         due = t + lat
         if a < due or (a != due and not queued):
             raise ScheduleError(
@@ -679,6 +679,7 @@ def audit_columns(
                     f"(second delivery at t={time_repr(to_time(a))})"
                 )
             held_from[slot] = a
+            arrived[k].append(a)
 
         if t - send_last[s] < one:
             b = to_time(send_last[s])
@@ -691,9 +692,9 @@ def audit_columns(
         if recv_here:
             p = recv_last[r]
             if a - p < one:
-                _receive_collision(r, p, a, domain)
+                _receive_collision(r, p, a, scale)
             if fifo and a != due and a != p + one:
-                _idle_receive(r, p, a, due, domain)
+                _idle_receive(r, p, a, due, scale)
             recv_last[r] = a
 
     if not recv_here:
@@ -706,9 +707,9 @@ def audit_columns(
         for t, lat, a, r in rows:
             p = recv_last[r]
             if a - p < one:
-                _receive_collision(r, p, a, domain)
+                _receive_collision(r, p, a, scale)
             if fifo and a != t + lat and a != p + one:
-                _idle_receive(r, p, a, t + lat, domain)
+                _idle_receive(r, p, a, t + lat, scale)
             recv_last[r] = a
 
     if broadcast:
@@ -719,15 +720,45 @@ def audit_columns(
                 f"incomplete broadcast: p{idx // m} never receives "
                 f"M{idx % m + 1} ({missing} deliveries missing)"
             )
+        if lats is None:
+            check_certificates(
+                n, m, Fraction(lam_ticks, scale), scale, arrived
+            )
 
 
-def _receive_collision(
-    r: ProcId, prev: int, a: int, domain: TickDomain
-) -> NoReturn:
+def check_certificates(
+    n: int, m: int, lam: Time, scale: int, arrived: Sequence[Sequence[int]]
+) -> None:
+    """The paper's certificates on one broadcast run's deliveries.
+
+    ``arrived[k]`` holds the arrival ticks of message ``k``'s deliveries
+    (``scale`` ticks per unit; the root's own copies are not listed):
+
+    * Lemma 5 — at every time ``t`` at most ``F_lambda(t)`` processors
+      know each message (:func:`~repro.core.fibfunc.check_informed_bound`);
+    * Lemma 8 — the last arrival is no earlier than
+      ``(m-1) + f_lambda(n)`` (:func:`~repro.core.analysis.
+      multi_lower_bound`).
+
+    Raises:
+        ScheduleError: a certificate fails.
+    """
+    check_informed_bound(lam, scale, arrived)
+    last = max((max(ticks) for ticks in arrived if ticks), default=0)
+    completion = Fraction(last, scale)
+    bound = multi_lower_bound(n, m, lam)
+    if completion < bound:
+        raise ScheduleError(
+            f"Lemma 8: makespan {time_repr(completion)} beats the lower "
+            f"bound (m-1) + f_lambda(n) = {time_repr(bound)}"
+        )
+
+
+def _receive_collision(r: ProcId, prev: int, a: int, scale: int) -> NoReturn:
     """Raise for two receive windows at *r* less than one unit apart
     (the windows close at arrival ticks *prev* and *a*)."""
-    b = domain.to_time(prev) - 1
-    w = domain.to_time(a) - 1
+    b = Fraction(prev, scale) - 1
+    w = Fraction(a, scale) - 1
     raise SimultaneousIOError(
         f"p{r} drives two receives at once: busy "
         f"[{time_repr(b)},{time_repr(b + 1)}) and "
@@ -736,14 +767,13 @@ def _receive_collision(
 
 
 def _idle_receive(
-    r: ProcId, prev: int, a: int, due: int, domain: TickDomain
+    r: ProcId, prev: int, a: int, due: int, scale: int
 ) -> NoReturn:
     """Raise for a queued arrival at *r* that the receive port's FIFO
     queue does not explain: it idled while the message waited."""
-    to_time = domain.to_time
-    expected = max(due, prev + domain.scale)
+    expected = max(due, prev + scale)
     raise ModelError(
-        f"p{r}: queued arrival at t={time_repr(to_time(a))} is not the "
-        f"work-conserving FIFO completion of its due time (expected "
-        f"t={time_repr(to_time(expected))})"
+        f"p{r}: queued arrival at t={time_repr(Fraction(a, scale))} is not "
+        f"the work-conserving FIFO completion of its due time (expected "
+        f"t={time_repr(Fraction(expected, scale))})"
     )

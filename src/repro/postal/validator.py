@@ -1,10 +1,14 @@
 """Audit a finished postal-machine run against the postal model.
 
 The machine traces every send start and every delivery.  The validator
-rebuilds the run as a :class:`~repro.core.schedule.Schedule` (which brings
-the full static validation of Definitions 1-2 along) and additionally
-audits the *ports' own busy logs* — a second, independent record of what
-the simulation actually did.
+rebuilds the run as a :class:`~repro.core.schedule.Schedule`, whose
+validation is the library's one postal audit
+(:func:`~repro.plan.columns.audit_columns` over integer ticks, followed
+by the paper's Lemma 5 and Lemma 8 certificates), and additionally
+audits the *ports' own busy logs* and delivery records — a second,
+independent record of what the simulation actually did.  These trace
+checks are the exact lane's witness: they read the machine's records,
+not the schedule's arithmetic.
 
 Three audit depths are available:
 
@@ -16,7 +20,8 @@ Three audit depths are available:
   times are the *work-conserving FIFO* completion of their due times (a
   late delivery must be explained by port contention, never by idling).
 * :func:`validate_run` — the full audit.  Under the strict uniform policy
-  it also rebuilds and validates the broadcast :class:`Schedule`; under
+  it also rebuilds and validates the broadcast :class:`Schedule`,
+  certificates included; under
   the queued policy it instead checks broadcast *coverage* and sender
   possession directly from the delivery records
   (:func:`audit_broadcast_coverage`) and returns ``None``.

@@ -14,9 +14,10 @@ Five pieces:
   writes (five ``array('q')`` columns; trace records materialize only on
   demand).
 * :mod:`repro.turbo.columnar` — what both lanes compute on a finished
-  run's integer columns instead of a trace: the Lemma 5 / Lemma 8
-  certificates, counted run metrics, the realized schedule and port
-  views.
+  run's integer columns instead of a trace: counted run metrics, the
+  realized schedule and port views.  Both audit those columns with
+  :func:`repro.plan.columns.audit_columns`, Lemma 5 / Lemma 8
+  certificates included.
 * :mod:`repro.turbo.replay` — the vectorized plan-replay tier
   (``backend="replay"``): batched column passes over a compiled
   :class:`~repro.plan.columns.SchedulePlan`, no event queue at all.

@@ -1,4 +1,4 @@
-"""Certificates, metrics and views over a finished run's integer columns.
+"""Metrics and views over a finished run's integer columns.
 
 A turbo or replay run is, after the fact, a few integer columns per
 send: who sent which message to whom, the tick the send started and the
@@ -6,67 +6,35 @@ tick it arrived.  :class:`~repro.turbo.fastsim.TurboSystem` and
 :class:`~repro.turbo.replay.ReplaySystem` both hand those columns to
 the functions here instead of materializing a trace:
 
-* :func:`check_certificates` — the paper's Lemma 5 and Lemma 8 on a
-  broadcast run's deliveries (the postal-model sweep itself is
-  :func:`repro.plan.columns.audit_columns`);
 * :func:`count_metrics` — the run's
   :class:`~repro.obs.metrics.RunMetrics` by counting, equal to folding
   the trace through a :class:`~repro.obs.metrics.MetricsCollector`;
 * :func:`columns_schedule` and :func:`port_views` — the realized
   :class:`~repro.core.schedule.Schedule` and the port busy logs, built
   on demand.
+
+The audit of those columns, the paper's certificates included, is
+:func:`repro.plan.columns.audit_columns`.
 """
 
 from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
-from repro.core.analysis import multi_lower_bound
-from repro.core.fibfunc import check_informed_bound
 from repro.core.schedule import Schedule, SendEvent
-from repro.errors import ScheduleError
 from repro.obs.metrics import RunMetrics
 from repro.turbo.runlog import CONSUME, DELIVER, RunLog
 from repro.turbo.ticks import TickDomain
-from repro.types import ProcId, Time, ZERO, time_repr
+from repro.types import ProcId, Time, ZERO
 
 __all__ = [
     "PortView",
-    "check_certificates",
     "count_metrics",
     "columns_schedule",
     "port_views",
 ]
-
-
-def check_certificates(
-    n: int, m: int, lam: Time, scale: int, msgs: Iterable[int],
-    arrivals: Sequence[int],
-) -> None:
-    """The paper's certificates on one broadcast run's deliveries.
-
-    *msgs* and *arrivals* are parallel, one entry per delivery (its
-    message index and arrival tick, ``scale`` ticks per unit):
-
-    * Lemma 5 — at every time ``t`` at most ``F_lambda(t)`` processors
-      know each message (:func:`~repro.core.fibfunc.check_informed_bound`);
-    * Lemma 8 — the last arrival is no earlier than
-      ``(m-1) + f_lambda(n)`` (:func:`~repro.core.analysis.
-      multi_lower_bound`).
-
-    Raises:
-        ScheduleError: a certificate fails.
-    """
-    check_informed_bound(lam, scale, msgs, arrivals)
-    completion = Fraction(max(arrivals, default=0), scale)
-    bound = multi_lower_bound(n, m, lam)
-    if completion < bound:
-        raise ScheduleError(
-            f"Lemma 8: makespan {time_repr(completion)} beats the lower "
-            f"bound (m-1) + f_lambda(n) = {time_repr(bound)}"
-        )
 
 
 def count_metrics(

@@ -40,7 +40,9 @@ This module specializes for that shape:
   :class:`~repro.sim.trace.Tracer`.  Each delivery row points at its
   send row, so the log *is* the realized ``starts`` / ``arrivals``
   columns: :meth:`TurboSystem.audit` and :meth:`TurboSystem.run_metrics`
-  check and measure the run on them (:mod:`repro.turbo.columnar`), and
+  check and measure the run on them
+  (:func:`~repro.plan.columns.audit_columns`,
+  :mod:`repro.turbo.columnar`), and
   :attr:`TurboSystem.tracer` materializes real
   :class:`~repro.sim.trace.TraceRecord` objects only when someone reads
   it.  A default ``run_protocol(..., backend="turbo")`` call builds no
@@ -81,7 +83,6 @@ from repro.sim.trace import Tracer
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
 from repro.turbo.columnar import (
     PortView,
-    check_certificates,
     columns_schedule,
     count_metrics,
     port_views,
@@ -968,7 +969,7 @@ class TurboSystem:
         *root*), possession, single delivery and full coverage.  Message
         ids of other semantics are not bounded.  A uniform-latency
         broadcast then carries the paper's certificates, Lemma 5 and
-        Lemma 8 (:func:`~repro.turbo.columnar.check_certificates`).
+        Lemma 8.
 
         Raises:
             ScheduleError: a structural, causality or coverage violation,
@@ -981,20 +982,14 @@ class TurboSystem:
         from repro.plan.columns import audit_columns
 
         log = self._log
-        sends, _, arrivals, order, lats, windows = self._realized()
+        _, _, arrivals, order, lats, windows = self._realized()
         queued = not self._strict
         audit_columns(
             log.a, log.c, log.b, log.ticks, arrivals, order,
-            n=self._n, domain=self.domain, lam_ticks=self._lam_ticks,
+            n=self._n, scale=self._one, lam_ticks=self._lam_ticks,
             m=m if broadcast else None, root=root, broadcast=broadcast,
             queued=queued, fifo=queued, lats=lats, windows=windows,
         )
-        if broadcast and lats is None:
-            check_certificates(
-                self._n, m, self._lam, self._one,
-                map(log.c.__getitem__, sends),
-                list(map(arrivals.__getitem__, sends)),
-            )
 
     def run_metrics(self) -> RunMetrics:
         """The run's :class:`~repro.obs.metrics.RunMetrics`, counted on the

@@ -70,7 +70,6 @@ from repro.postal.message import Message
 from repro.sim.trace import Tracer
 from repro.turbo.columnar import (
     PortView,
-    check_certificates,
     columns_schedule,
     count_metrics,
     port_views,
@@ -290,9 +289,8 @@ class ReplaySystem:
         ``run_protocol`` refuses contended queued replays, so its
         replays never arrive late), a one-unit gap between uses of every
         send and receive port, and, for *broadcast* semantics,
-        possession, single delivery and full coverage.  A broadcast run
-        then carries the paper's certificates, Lemma 5 and Lemma 8
-        (:func:`~repro.turbo.columnar.check_certificates`).
+        possession, single delivery and full coverage, then the paper's
+        certificates, Lemma 5 and Lemma 8.
 
         Raises:
             ScheduleError: a structural, causality or coverage violation,
@@ -306,14 +304,10 @@ class ReplaySystem:
         audit_columns(
             plan.senders, plan.msgs, plan.receivers,
             self._starts, self._arrivals, self._order,
-            n=plan.n, domain=self.domain, lam_ticks=plan.lam_ticks,
+            n=plan.n, scale=self._one, lam_ticks=plan.lam_ticks,
             m=plan.m, root=plan.root, broadcast=broadcast,
             queued=self._policy is not ContentionPolicy.STRICT,
         )
-        if broadcast:
-            check_certificates(
-                plan.n, plan.m, plan.lam, self._one, plan.msgs, self._arrivals
-            )
 
     def run_metrics(self) -> RunMetrics:
         """The run's :class:`~repro.obs.metrics.RunMetrics`, counted on the

@@ -20,7 +20,7 @@ from repro.collectives.reduce import (
 from repro.collectives.scatter import ScatterProtocol, scatter_time
 from repro.core.fibfunc import postal_f
 from repro.core.schedule import SendEvent
-from repro.errors import ScheduleError, SimultaneousIOError
+from repro.errors import InvalidParameterError, ScheduleError, SimultaneousIOError
 from repro.postal import ContentionPolicy, run_protocol
 from repro.types import Time
 
@@ -89,6 +89,33 @@ class TestReduce:
         ]
         with pytest.raises(ScheduleError):
             ReductionSchedule(3, 2, events)
+
+    def test_reduction_receive_clash(self):
+        # p1 and p2 each send their value to p0 once, half a unit apart:
+        # the receive windows [1,2) and [3/2,5/2) overlap at p0
+        events = [
+            SendEvent(Time(0), 1, 0, 0),
+            SendEvent(Fraction(1, 2), 2, 0, 0),
+        ]
+        with pytest.raises(SimultaneousIOError, match="p0 drives two receives"):
+            ReductionSchedule(3, 2, events)
+
+    @pytest.mark.parametrize(
+        "n, lam, root",
+        [(0, 2, 0), (2, Fraction(1, 2), 0), (2, 2, 2)],
+        ids=["no processors", "lambda below 1", "root out of range"],
+    )
+    def test_reduction_outside_the_model(self, n, lam, root):
+        with pytest.raises(InvalidParameterError):
+            ReductionSchedule(n, lam, [SendEvent(Time(0), 1, 0, 0)], root=root)
+
+    def test_reduction_receiver_out_of_range(self):
+        with pytest.raises(ScheduleError, match="receiver p7 out of range"):
+            ReductionSchedule(2, 2, [SendEvent(Time(0), 1, 0, 7)])
+
+    def test_reduction_negative_send_time(self):
+        with pytest.raises(ScheduleError, match="negative send time t=-3"):
+            ReductionSchedule(2, 2, [SendEvent(Time(-3), 1, 0, 0)])
 
 
 class TestGossip:

@@ -7,9 +7,10 @@ returns, and builds trace records only when someone reads
 
 * every branch of the realized-column sweep
   (:func:`repro.plan.columns.audit_columns`) and of the Lemma 5 / Lemma 8
-  certificates.  A correct kernel never reaches them, so each test
-  tampers a :class:`~repro.turbo.ReplaySystem`'s columns (or its plan's)
-  into one violation;
+  certificates it ends with.  A correct kernel never reaches them, so
+  each test tampers a :class:`~repro.turbo.ReplaySystem`'s columns (or
+  its plan's) into one violation, or hands the certificates
+  (:func:`repro.plan.columns.check_certificates`) tampered arrivals;
 * the shared Lemma 5 check (:func:`repro.core.fibfunc.
   check_informed_bound`) against the per-arrival ``postal_F`` loop it
   replaced, and its violation text on the conformance path;
@@ -36,6 +37,7 @@ from repro.core.schedule import Schedule, SendEvent
 from repro.errors import ScheduleError, SimultaneousIOError
 from repro.obs.metrics import collect_metrics
 from repro.plan import PlanCache, SchedulePlan, compile_plan
+from repro.plan.columns import check_certificates
 from repro.postal.machine import ContentionPolicy
 from repro.postal.runner import run_protocol
 from repro.postal.validator import validate_run
@@ -210,44 +212,38 @@ def test_run_protocol_audits_replays_by_default(monkeypatch):
 
 # ---------------------------------------------------- the certificates
 #
-# Lemmas 5 and 8 are theorems about runs that pass the sweep, so a
-# tampered run can only reach them with the sweep stubbed out.
+# Lemmas 5 and 8 are theorems about runs that pass the sweep, and the
+# sweep runs them last, so a tampered run never reaches them.  Each test
+# hands the certificates the arrival lists the sweep would collect.
 
 
-@pytest.fixture
-def no_sweep(monkeypatch):
-    import repro.plan.columns
+def _arrived(m, msgs, arrivals):
+    """Each message's arrival ticks, grouped as the sweep collects them."""
+    arrived = [[] for _ in range(m)]
+    for k, tick in zip(msgs, arrivals):
+        arrived[k].append(tick)
+    return arrived
 
-    monkeypatch.setattr(
-        repro.plan.columns, "audit_columns", lambda *args, **kwargs: None
-    )
 
-
-def test_audit_rejects_a_lemma5_violation(no_sweep):
-    system = _bcast(n=8, lam="2")
-    everyone_at_lambda = [system.plan.lam_ticks] * system.send_count
+def test_audit_rejects_a_lemma5_violation():
+    plan = compile_plan("BCAST", 8, 1, "2")
+    everyone_at_lambda = [plan.lam_ticks] * len(plan)
     with pytest.raises(
         ScheduleError,
         match=r"Lemma 5: 3 processors know M1 at t=2 but F_lambda\(t\) = 2",
     ):
-        _system(system, arrivals=everyone_at_lambda).audit()
+        check_certificates(8, 1, plan.lam, plan.domain.scale, [everyone_at_lambda])
 
 
-def test_audit_rejects_a_lemma8_violation(no_sweep):
+def test_audit_rejects_a_lemma8_violation():
     # REPEAT, m = 2: give M2 the arrival ticks of M1, an optimal BCAST.
     # Each message alone respects Lemma 5; together they finish at
     # f_2(8) = 5, one unit under (m-1) + f_2(8) = 6.
     system = replay_plan(compile_plan("REPEAT", 8, 2, "2"))
-    msgs, arrivals = system.plan.msgs, array("q", system._arrivals)
-    rows = [
-        sorted((i for i in range(len(msgs)) if msgs[i] == k),
-               key=arrivals.__getitem__)
-        for k in (0, 1)
-    ]
-    for first, second in zip(*rows):
-        arrivals[second] = arrivals[first]
+    plan = system.plan
+    m1, _ = _arrived(plan.m, plan.msgs, system._arrivals)
     with pytest.raises(ScheduleError, match="Lemma 8: makespan 5 beats"):
-        _system(system, arrivals=arrivals).audit()
+        check_certificates(plan.n, plan.m, plan.lam, plan.domain.scale, [m1, m1])
 
 
 def _lemma5_by_postal_F(lam, arrivals_by_msg):
@@ -279,8 +275,9 @@ def test_integer_lemma5_check_matches_the_postal_F_loop(lam, ticks):
     for k, t in ticks:
         by_msg.setdefault(k, []).append(Fraction(t, scale))
     expected = _lemma5_by_postal_F(lam, by_msg)
+    arrived = [[t for j, t in ticks if j == k] for k in range(3)]
     try:
-        check_informed_bound(lam, scale, [k for k, _ in ticks], [t for _, t in ticks])
+        check_informed_bound(lam, scale, arrived)
     except ScheduleError as exc:
         assert str(exc) == expected
     else:

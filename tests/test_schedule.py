@@ -4,12 +4,21 @@ from fractions import Fraction
 
 import pytest
 
-from repro.core.schedule import Schedule, SendEvent, check_intervals_disjoint
+import repro.plan.columns
+from repro.core.bcast import bcast_schedule
+from repro.core.schedule import Schedule, SendEvent, tick_columns
 from repro.errors import (
     InvalidParameterError,
     ScheduleError,
     SimultaneousIOError,
 )
+from repro.extensions.hierarchical import (
+    HierarchicalBcastProtocol,
+    HierarchicalSystem,
+)
+from repro.plan import compile_plan
+from repro.postal.runner import run_protocol
+from repro.turbo import replay_plan
 from repro.types import Time
 
 
@@ -28,22 +37,6 @@ class TestSendEvent:
 
     def test_str(self):
         assert "p0 --M1--> p1" in str(ev(0, 0, 1))
-
-
-class TestIntervals:
-    def test_disjoint(self):
-        assert check_intervals_disjoint([(0, 1), (1, 2), (5, 6)]) is None
-
-    def test_touching_ok(self):
-        assert check_intervals_disjoint([(0, 1), (1, 2)]) is None
-
-    def test_overlap_detected(self):
-        clash = check_intervals_disjoint([(0, 2), (1, 3)])
-        assert clash == (0, 2, 1, 3)
-
-    def test_unsorted_input(self):
-        assert check_intervals_disjoint([(5, 6), (0, 1)]) is None
-        assert check_intervals_disjoint([(5, 7), (0, 6)]) is not None
 
 
 class TestValidSchedules:
@@ -201,3 +194,110 @@ class TestInvalidSchedules:
         s = Schedule(2, 2, [ev(0, 0, 1)])
         with pytest.raises(ScheduleError):
             s.arrival_of(1, msg=5)
+
+
+def _clash(schedule):
+    """*schedule* with its first repeat sender's second send moved onto
+    that sender's previous send."""
+    events = list(schedule.events)
+    first = {}
+    for i, e in enumerate(events):
+        if e.sender in first:
+            events[i] = SendEvent(first[e.sender], e.sender, e.msg, e.receiver)
+            return Schedule(
+                schedule.n, schedule.lam, events, m=schedule.m, validate=False
+            )
+        first[e.sender] = e.send_time
+    raise AssertionError("no processor sends twice")
+
+
+class TestOffGrid:
+    """Any rational times run on the one integer sweep: the common
+    denominator is a plain int, with no cap and no Fraction fallback."""
+
+    def test_binary_float_lambda(self):
+        schedule = bcast_schedule(100, 2.1)  # validates
+        assert tick_columns(schedule.lam, schedule.events)[0] == 2**51
+        with pytest.raises(SimultaneousIOError, match="p0 drives two sends"):
+            _clash(schedule).validate()
+
+    def test_common_denominator_past_int64(self):
+        # the root sends at i + 1/p for five primes p near 2**16, largest
+        # first, so its sends stay at least a unit apart
+        primes = (65521, 65519, 65497, 65479, 65449)
+        events = [ev(i + Fraction(1, p), 0, i + 1) for i, p in enumerate(primes)]
+        schedule = Schedule(6, 2, events)
+        assert schedule.completion_time() == 6 + Fraction(1, 65449)
+        clash = Schedule(6, 2, events[:4] + [ev(events[3].send_time, 0, 5)],
+                         validate=False)
+        for s in (schedule, clash):
+            assert tick_columns(s.lam, s.events)[0] > 2**63
+        with pytest.raises(SimultaneousIOError, match="p0 drives two sends"):
+            clash.validate()
+
+
+def _lift_lower_bound(monkeypatch, makespan):
+    """Lemma 8's bound, as the certificate looks it up, one unit over
+    *makespan*."""
+    monkeypatch.setattr(
+        repro.plan.columns, "multi_lower_bound",
+        lambda n, m, lam: Fraction(makespan) + 1,
+    )
+
+
+def _turbo_bcast():
+    return run_protocol(
+        "BCAST", n=8, lam="2", backend="turbo", validate=False
+    ).system
+
+
+# BCAST at n = 8, lambda = 2 is optimal: its makespan is f_2(8) = 5
+CERTIFIED_AUDITS = {
+    "Schedule.validate": lambda: bcast_schedule(8, 2, validate=False).validate(),
+    "SchedulePlan.audit": lambda: compile_plan("BCAST", 8, 1, "2").audit(),
+    "exact run_protocol": lambda: run_protocol("BCAST", n=8, lam="2"),
+    "ReplaySystem.audit": lambda: replay_plan(
+        compile_plan("BCAST", 8, 1, "2")
+    ).audit(),
+    "TurboSystem.audit": lambda: _turbo_bcast().audit(),
+}
+
+UNCERTIFIED_AUDITS = {
+    "SchedulePlan.audit_ports": lambda: compile_plan(
+        "BCAST", 8, 1, "2"
+    ).audit_ports(),
+    "ReplaySystem.audit, broadcast=False": lambda: replay_plan(
+        compile_plan("BCAST", 8, 1, "2")
+    ).audit(broadcast=False),
+    "TurboSystem.audit, broadcast=False": lambda: _turbo_bcast().audit(
+        broadcast=False
+    ),
+}
+
+
+@pytest.mark.parametrize("audit", CERTIFIED_AUDITS)
+def test_every_broadcast_audit_carries_lemma8(monkeypatch, audit):
+    _lift_lower_bound(monkeypatch, 5)
+    with pytest.raises(ScheduleError, match="Lemma 8"):
+        CERTIFIED_AUDITS[audit]()
+
+
+@pytest.mark.parametrize("audit", UNCERTIFIED_AUDITS)
+def test_audits_without_broadcast_semantics_carry_no_certificates(
+    monkeypatch, audit
+):
+    _lift_lower_bound(monkeypatch, 5)
+    UNCERTIFIED_AUDITS[audit]()
+
+
+def test_pair_latency_broadcasts_carry_no_certificates(monkeypatch):
+    # Lemma 8 assumes one latency: this run beats f_6(32) = 17 through
+    # its local hops, and its audit must not apply the bound
+    result = run_protocol(
+        HierarchicalBcastProtocol(HierarchicalSystem.of(4, 8, 1, 6)),
+        backend="turbo",
+    )
+    assert result.completion_time == 11
+    _lift_lower_bound(monkeypatch, result.completion_time)
+    result.system.audit()
+

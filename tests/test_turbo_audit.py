@@ -7,8 +7,10 @@ the log holds each send's start and arrival tick.  This suite pins:
 * every branch of the sweep (:func:`repro.plan.columns.audit_columns`)
   a turbo run reaches — including the queued policy's work-conservation
   check and the pair-latency window order — and of the Lemma 5 /
-  Lemma 8 certificates.  A correct run never reaches them, so each test
-  tampers a finished run's log into one violation;
+  Lemma 8 certificates it ends with.  A correct run never reaches them,
+  so each test tampers a finished run's log into one violation, or hands
+  the certificates (:func:`repro.plan.columns.check_certificates`)
+  tampered arrivals;
 * the counted :class:`~repro.obs.metrics.RunMetrics` against the trace
   fold, consume fields included, under both policies;
 * the lazy tracer: nothing is built by a default run, the built trace
@@ -28,6 +30,7 @@ from repro.extensions.hierarchical import (
     HierarchicalSystem,
 )
 from repro.obs.metrics import collect_metrics
+from repro.plan.columns import check_certificates
 from repro.postal.machine import ContentionPolicy
 from repro.postal.runner import run_protocol
 from repro.postal.validator import validate_run
@@ -295,48 +298,40 @@ def test_pair_latency_queued_delivery_that_idles():
 
 # ---------------------------------------------------- the certificates
 #
-# Lemmas 5 and 8 are theorems about runs that pass the sweep, so a
-# tampered run can only reach them with the sweep stubbed out.
+# Lemmas 5 and 8 are theorems about runs that pass the sweep, and the
+# sweep runs them last, so a tampered run never reaches them.  Each test
+# hands the certificates the arrival lists the sweep would collect.
 
 
-@pytest.fixture
-def no_sweep(monkeypatch):
-    import repro.plan.columns
-
-    monkeypatch.setattr(
-        repro.plan.columns, "audit_columns", lambda *args, **kwargs: None
-    )
-
-
-def test_audit_rejects_a_lemma5_violation(no_sweep):
-    system = _finished("BCAST", n=8)
+def _arrived(system, m):
+    """Each message's arrival ticks in the log, grouped as the sweep
+    collects them."""
     log = system._log
+    arrived = [[] for _ in range(m)]
     for j in _rows(system, DELIVER):
-        log.ticks[j] = system._lam_ticks  # everyone informed at lambda
+        arrived[log.c[log.c[j]]].append(log.ticks[j])
+    return arrived
+
+
+def test_audit_rejects_a_lemma5_violation():
+    system = _finished("BCAST", n=8)
+    (m1,) = _arrived(system, 1)
+    everyone_at_lambda = [system._lam_ticks] * len(m1)
     with pytest.raises(
         ScheduleError,
         match=r"Lemma 5: 3 processors know M1 at t=2 but F_lambda\(t\) = 2",
     ):
-        system.audit()
+        check_certificates(8, 1, system._lam, system._one, [everyone_at_lambda])
 
 
-def test_audit_rejects_a_lemma8_violation(no_sweep):
+def test_audit_rejects_a_lemma8_violation():
     # REPEAT, m = 2: give M2 the arrival ticks of M1, an optimal BCAST.
     # Each message alone respects Lemma 5; together they finish at
     # f_2(8) = 5, one unit under (m-1) + f_2(8) = 6.
     system = _finished("REPEAT", n=8, m=2)
-    log = system._log
-    rows = [
-        sorted(
-            (j for j in _rows(system, DELIVER) if log.c[log.c[j]] == k),
-            key=log.ticks.__getitem__,
-        )
-        for k in (0, 1)
-    ]
-    for first, second in zip(*rows):
-        log.ticks[second] = log.ticks[first]
+    m1, _ = _arrived(system, 2)
     with pytest.raises(ScheduleError, match="Lemma 8: makespan 5 beats"):
-        system.audit(m=2)
+        check_certificates(8, 2, system._lam, system._one, [m1, m1])
 
 
 # ------------------------------------------------------------- metrics
