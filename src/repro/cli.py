@@ -442,8 +442,9 @@ def cmd_bench(args: argparse.Namespace) -> int:
         bg = batch["gate"]
         bv = "PASS" if bg["sweep_ok"] else "FAIL"
         print(
-            f"batch gate: run_batch >= {bg['min_speedup']:.0f}x per-point "
-            f"replay over {batch['points']} points at jobs={jobs} — "
+            f"batch gate: run_batch >= {bg['min_speedup']:.1f}x per-point "
+            f"build + replay over {batch['points']} points at jobs={jobs}, "
+            f"cold plan cache — "
             f"measured {batch['speedup']:.2f}x (per-point "
             f"{batch['per_point_s']:.4f}s, batch {batch['batch_s']:.4f}s) "
             f"[{bv}]"

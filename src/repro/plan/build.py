@@ -21,13 +21,15 @@ per time unit) and emits one packed integer key per send:
 * one C-speed ``list.sort`` of packed integer keys instead of a
   ``Fraction``-comparing event sort.
 
-Two views decode the keys.  :func:`compile_plan` stores them as the
-``int64`` columns of a :class:`~repro.plan.columns.SchedulePlan`, whose
-tick scale is capped at :data:`~repro.turbo.ticks.MAX_SCALE`.
-:func:`compile_schedule` — what the ``repro.core`` and
-``repro.algorithms`` builders call — decodes them straight into
-``SendEvent`` objects at lambda's own denominator, with no cap, so every
-rational lambda (binary floats such as ``2.1`` included) builds.  The
+Two views decode the keys into the same four columns.
+:func:`compile_plan` stores them as the ``int64`` columns of a
+:class:`~repro.plan.columns.SchedulePlan`, whose tick scale is capped
+at :data:`~repro.turbo.ticks.MAX_SCALE`.  :func:`compile_schedule` —
+what the ``repro.core`` and ``repro.algorithms`` builders call —
+decodes them in pure Python at lambda's own denominator, with no cap,
+into a :class:`~repro.core.schedule.Schedule` that builds its
+``SendEvent`` objects only when read, so every rational lambda (binary
+floats such as ``2.1`` included) builds.  The
 independent witnesses are the event-driven protocols on the exact
 engine, the closed-form oracles and the :mod:`repro.core.optimal` DP.
 
@@ -43,17 +45,16 @@ integer add per key and the sort.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Callable
 
 from repro.core.dtree import DTreeShape, resolve_degree
 from repro.core.fibfunc import IntPrefix, postal_f
 from repro.core.multi import pipeline_variant
-from repro.core.schedule import Schedule, SendEvent
+from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
-from repro.plan.columns import SchedulePlan
+from repro.plan.columns import SchedulePlan, _decode_keys
 from repro.turbo.ticks import TickDomain
-from repro.types import ZERO, Time, TimeLike, as_time
+from repro.types import Time, TimeLike, as_time
 
 __all__ = [
     "compile_plan",
@@ -653,7 +654,7 @@ def compile_schedule(
     *,
     validate: bool = False,
 ) -> Schedule:
-    """Compile a *broadcast* family straight into an event-object
+    """Compile a *broadcast* family into a
     :class:`~repro.core.schedule.Schedule`.
 
     The constructor behind every static broadcast builder
@@ -661,8 +662,10 @@ def compile_schedule(
     STAR and BINOMIAL builders).  It runs the :func:`compile_plan`
     compilers at lambda's own denominator with no tick-scale cap — so a
     binary float such as ``2.1`` (denominator ``2**51``) builds exactly —
-    and decodes the sorted keys directly into
-    :class:`~repro.core.schedule.SendEvent` objects.
+    and decodes the keys into the schedule's columns with the
+    pure-Python decode (:func:`~repro.plan.columns._decode_keys`; ticks
+    past int64 stay Python ints).  The schedule builds its
+    :class:`~repro.core.schedule.SendEvent` objects only when read.
 
     Args:
         family: one of :func:`plan_families`, ``"PIPELINE"``, or
@@ -682,17 +685,7 @@ def compile_schedule(
         )
     scale = lam.denominator
     keys = _broadcast_keys(fam, n, m, lam, scale)
-    keys.sort()
-    events: list[SendEvent] = []
-    append = events.append
-    # the keys are sorted, so equal ticks are adjacent: one Fraction each
-    tick: int | None = None
-    time = ZERO
-    for key in keys:
-        key, r = divmod(key, n)
-        key, k = divmod(key, m)
-        t, s = divmod(key, n)
-        if t != tick:
-            tick, time = t, Fraction(t, scale)
-        append(SendEvent(time, s, k, r))
-    return Schedule(n, lam, events, m=m, validate=validate)
+    columns = _decode_keys(keys, n, m, presorted=False)
+    return Schedule.from_columns(
+        n, lam, scale, *columns, m=m, validate=validate
+    )

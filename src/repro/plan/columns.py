@@ -23,7 +23,13 @@ sorted by ``(tick, sender, msg, receiver)`` — exactly the order
 :class:`~repro.core.schedule.Schedule` keeps its events in, so the two
 representations convert **losslessly** in both directions
 (:meth:`to_schedule` / :meth:`from_schedule` round-trip to identical
-event tuples).  Four machine words per event instead of a dataclass plus
+event tuples).  A ``Schedule`` is itself four such columns and builds
+its events only when read: :meth:`to_schedule` hands the plan's columns
+over without a copy, and :meth:`from_schedule` takes the schedule's
+rows in event order.  The pure-Python key decode behind
+:meth:`from_sorted_keys` is also the one
+:func:`~repro.plan.build.compile_schedule` uses, so no builder loads
+NumPy.  Four machine words per event instead of a dataclass plus
 two ``Fraction`` objects is where the ~5x+ peak-memory win of the plan
 layer comes from; the integer-only construction (no per-event
 ``Fraction`` arithmetic) is where the build-time win comes from.
@@ -54,7 +60,7 @@ from typing import Iterator, NoReturn, Sequence
 
 from repro.core.analysis import multi_lower_bound
 from repro.core.fibfunc import check_informed_bound
-from repro.core.schedule import Schedule, SendEvent, tick_columns
+from repro.core.schedule import Schedule
 from repro.errors import (
     InvalidParameterError,
     ModelError,
@@ -218,7 +224,8 @@ class SchedulePlan:
     # ---------------------------------------------------------- conversion
 
     def to_schedule(self, *, validate: bool = False) -> Schedule:
-        """Materialize the classic event-object :class:`Schedule`.
+        """The plan as a :class:`Schedule` over the same columns (no
+        copy; its events are built only when read).
 
         The events equal those of the family's static builder, which
         decodes the same compiler's keys
@@ -226,17 +233,10 @@ class SchedulePlan:
         ``SchedulePlan.from_schedule(plan.to_schedule())`` is the
         identity.
         """
-        to_time = self.domain.to_time
-        events = [
-            SendEvent(to_time(t), s, k, r) for t, s, k, r in self.rows()
-        ]
-        return Schedule(
-            self.n,
-            self.lam,
-            events,
-            m=self.m,
-            root=self.root,
-            validate=validate,
+        return Schedule.from_columns(
+            self.n, self.lam, self.domain.scale,
+            self.ticks, self.senders, self.msgs, self.receivers,
+            m=self.m, root=self.root, validate=validate,
         )
 
     @classmethod
@@ -244,22 +244,22 @@ class SchedulePlan:
         cls, schedule: Schedule, *, family: str = "SCHEDULE"
     ) -> "SchedulePlan":
         """Compress a :class:`Schedule` into columnar form (lossless),
-        on the schedule's own tick grid
-        (:func:`~repro.core.schedule.tick_columns`).
+        on the schedule's own tick grid: its columns, sorted into event
+        order.
 
         Raises:
             TickDomainError: the schedule's times do not lie on a common
                 tick grid within :data:`repro.turbo.ticks.MAX_SCALE`.
         """
-        scale, *columns = tick_columns(schedule.lam, schedule.events)
-        domain = TickDomain(scale)
+        domain = TickDomain(schedule._scale)
+        rows = schedule._rows()
         return cls(
             family,
             schedule.n,
             schedule.m,
             schedule.lam,
             domain,
-            *(array("q", column) for column in columns),
+            *(array("q", [row[i] for row in rows]) for i in range(4)),
             root=schedule.root,
         )
 
@@ -508,10 +508,15 @@ class SchedulePlan:
 
 def _decode_keys(
     keys: list[int], n: int, m: int, *, presorted: bool
-) -> tuple[array, array, array, array]:
-    """The pure-Python decode behind :meth:`SchedulePlan.from_sorted_keys`:
-    sort *keys* in place (unless *presorted*), then one list pass per
-    remainder and quotient.  Exact for keys of any size."""
+) -> tuple[array, array, array, "array | list[int]"]:
+    """The pure-Python key decode: sort *keys* in place (unless
+    *presorted*), then one list pass per remainder and quotient.  Exact
+    for keys of any size; the tick column stays a list of Python ints
+    when a tick does not fit int64.
+
+    The fallback of :meth:`SchedulePlan.from_sorted_keys`, and the only
+    decode of :func:`repro.plan.build.compile_schedule`, which never
+    loads NumPy."""
     if not presorted:
         keys.sort()
     receivers = array("q", [key % n for key in keys])
@@ -522,7 +527,11 @@ def _decode_keys(
         msgs = array("q", [key % m for key in rest])
         rest = [key // m for key in rest]
     senders = array("q", [key % n for key in rest])
-    ticks = array("q", [key // n for key in rest])
+    ticks = [key // n for key in rest]
+    try:
+        ticks = array("q", ticks)
+    except OverflowError:
+        pass
     return ticks, senders, msgs, receivers
 
 

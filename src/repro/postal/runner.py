@@ -324,7 +324,8 @@ def _finish(
     protocol's broadcast when the system cannot know it).  Completion
     and sends come from the system's columns under both *validate*
     settings; strict uniform broadcasts also get their realized
-    schedule, eagerly.
+    schedule, a columnar :class:`~repro.core.schedule.Schedule` over
+    the same columns that builds its events only when read.
     """
     broadcast = (
         getattr(protocol, "semantics", "broadcast") == "broadcast"

@@ -9,12 +9,13 @@ the functions here instead of materializing a trace:
 * :func:`count_metrics` — the run's
   :class:`~repro.obs.metrics.RunMetrics` by counting, equal to folding
   the trace through a :class:`~repro.obs.metrics.MetricsCollector`;
-* :func:`columns_schedule` and :func:`port_views` — the realized
-  :class:`~repro.core.schedule.Schedule` and the port busy logs, built
-  on demand.
+* :func:`port_views` — the port busy logs, built on demand.
 
 The audit of those columns, the paper's certificates included, is
-:func:`repro.plan.columns.audit_columns`.
+:func:`repro.plan.columns.audit_columns`, and the realized schedule is
+a :class:`~repro.core.schedule.Schedule` over them
+(:meth:`~repro.core.schedule.Schedule.from_columns`), which builds its
+events only when read.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from collections import Counter, deque
 from fractions import Fraction
 from typing import Iterable
 
-from repro.core.schedule import Schedule, SendEvent
 from repro.obs.metrics import RunMetrics
 from repro.turbo.runlog import CONSUME, DELIVER, RunLog
 from repro.turbo.ticks import TickDomain
@@ -32,7 +32,6 @@ from repro.types import ProcId, Time, ZERO
 __all__ = [
     "PortView",
     "count_metrics",
-    "columns_schedule",
     "port_views",
 ]
 
@@ -135,28 +134,6 @@ def count_metrics(
         ),
         max_inbox_wait=max_wait,
     )
-
-
-def columns_schedule(
-    n: int,
-    lam: Time,
-    domain: TickDomain,
-    rows: Iterable[tuple[int, ProcId, int, ProcId]],
-    *,
-    m: int,
-    root: ProcId,
-    validate: bool,
-) -> Schedule:
-    """The realized :class:`~repro.core.schedule.Schedule` of integer
-    ``(start tick, sender, msg, receiver)`` rows.
-
-    The rows are sorted on that whole key first — the order the schedule
-    keeps its events in — so the schedule's own sort of
-    :class:`~repro.core.schedule.SendEvent` objects is one linear pass.
-    """
-    to_time = domain.to_time
-    events = [SendEvent(to_time(t), s, k, r) for t, s, k, r in sorted(rows)]
-    return Schedule(n, lam, events, m=m, root=root, validate=validate)
 
 
 class PortView:

@@ -70,6 +70,7 @@ import heapq
 from array import array
 from typing import Any, Callable, Generator, Optional
 
+from repro.core.schedule import Schedule
 from repro.errors import (
     InvalidParameterError,
     ModelError,
@@ -81,12 +82,7 @@ from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
-from repro.turbo.columnar import (
-    PortView,
-    columns_schedule,
-    count_metrics,
-    port_views,
-)
+from repro.turbo.columnar import PortView, count_metrics, port_views
 from repro.turbo.runlog import (
     CONSUME as _CONSUME,
     DELIVER as _DELIVER,
@@ -896,10 +892,9 @@ class TurboSystem:
         return self._log.send_count
 
     def realized_schedule(self, *, m: int = 1, root: int = 0, validate: bool = False):
-        """The run's :class:`~repro.core.schedule.Schedule` built straight
-        from the compact log (strict uniform runs only) — no trace
-        materialization; the integer rows are sorted on the schedule's
-        whole event key first, so its own sort is a linear pass."""
+        """The run's :class:`~repro.core.schedule.Schedule`, built from
+        the log's send rows (strict uniform runs only) — no trace
+        materialization, and no events until someone reads them."""
         if self._policy is not ContentionPolicy.STRICT:
             raise ModelError(
                 "schedule reconstruction requires the strict contention policy"
@@ -911,14 +906,12 @@ class TurboSystem:
             )
         log = self._log
         sends = log.where(_SEND)
-        rows = zip(
-            map(log.ticks.__getitem__, sends),
-            map(log.a.__getitem__, sends),
-            map(log.c.__getitem__, sends),
-            map(log.b.__getitem__, sends),
+        ticks, senders, msgs, receivers = (
+            array("q", list(map(column.__getitem__, sends)))
+            for column in (log.ticks, log.a, log.c, log.b)
         )
-        return columns_schedule(
-            self._n, self._lam, self.domain, rows,
+        return Schedule.from_columns(
+            self._n, self._lam, self._one, ticks, senders, msgs, receivers,
             m=m, root=root, validate=validate,
         )
 

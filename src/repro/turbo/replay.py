@@ -28,9 +28,11 @@ queue, no callbacks, no generators:
    broadcasts, the Lemma 5 and Lemma 8 certificates) and the run
    metrics (:meth:`ReplaySystem.run_metrics`, by counting) read the
    ``starts`` / ``arrivals`` arrays directly; completion is the arrival
-   maximum.  The schedule, port busy intervals and trace records are
-   materialized from the same arrays on demand — the trace on the first
-   read of :attr:`ReplaySystem.tracer`.
+   maximum.  The realized schedule is a columnar
+   :class:`~repro.core.schedule.Schedule` over the same arrays, and its
+   events, the port busy intervals and the trace records are
+   materialized on demand — the trace on the first read of
+   :attr:`ReplaySystem.tracer`.
 
 The result is **byte-identical** to running the same plan through
 ``SchedulePlan.replay()`` on the turbo event loop: the same realized
@@ -68,12 +70,7 @@ from repro.obs.metrics import RunMetrics
 from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
-from repro.turbo.columnar import (
-    PortView,
-    columns_schedule,
-    count_metrics,
-    port_views,
-)
+from repro.turbo.columnar import PortView, count_metrics, port_views
 from repro.types import ProcId, Time, ZERO, time_repr
 
 __all__ = ["ReplaySystem", "replay_plan"]
@@ -266,15 +263,17 @@ class ReplaySystem:
         self, *, m: int = 1, root: int = 0, validate: bool = False
     ) -> Schedule:
         """The realized :class:`~repro.core.schedule.Schedule` (strict
-        policy only, same refusal as the event loop under queued)."""
+        policy only, same refusal as the event loop under queued): the
+        realized starts and the plan's sender, message and receiver
+        columns, handed over without a copy."""
         if self._policy is not ContentionPolicy.STRICT:
             raise ModelError(
                 "schedule reconstruction requires the strict contention policy"
             )
         plan = self.plan
-        return columns_schedule(
-            plan.n, plan.lam, self.domain,
-            zip(self._starts, plan.senders, plan.msgs, plan.receivers),
+        return Schedule.from_columns(
+            plan.n, plan.lam, self._one,
+            self._starts, plan.senders, plan.msgs, plan.receivers,
             m=m, root=root, validate=validate,
         )
 

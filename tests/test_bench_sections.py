@@ -200,14 +200,18 @@ def test_bench_batch_section_shape():
 
 
 def test_parallel_gate_is_skipped_on_one_cpu(monkeypatch):
+    import repro.batch
+
     monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
     timed = []
     monkeypatch.setattr(
-        bench, "_cold_sweep_s", lambda points, jobs: timed.append(jobs)
+        repro.batch, "run_batch", lambda points, jobs: timed.append(jobs)
     )
+    monkeypatch.setattr(bench, "_per_point_sweep", lambda points: None)
+    monkeypatch.setattr(bench, "_cold_s", lambda fn: fn() or 1.0)
     monkeypatch.setattr(bench, "_best_of", lambda fn, **kwargs: 1.0)
     section = bench_batch(kernel_n=64)
-    assert timed == []  # no cold sweep timed at all
+    assert timed == [1]  # the sweep gate's batch side only: no jobs=2 sweep
     assert section["parallel"]["skipped"] is True
     assert section["parallel"]["speedup"] is None
     assert section["gate"]["parallel_ok"] is True
@@ -217,8 +221,33 @@ def test_cold_sweep_restores_the_plan_cache():
     from repro.plan import cache as plan_cache
 
     before = plan_cache.default_cache()
-    assert bench._cold_sweep_s(batch_grid()[:2], 1) > 0
+    seen = []
+
+    def sweep():
+        seen.append(plan_cache.default_cache())
+        bench._per_point_sweep(batch_grid()[:2])
+
+    assert bench._cold_s(sweep) > 0
     assert plan_cache.default_cache() is before
+    # every repetition starts on its own empty cache
+    assert len(set(map(id, seen))) == len(seen) and before not in seen
+
+
+def test_time_backend_is_a_fixed_best_of_three(monkeypatch):
+    import repro.postal.runner as runner
+
+    calls = []
+    collected = []
+    run = runner.run_protocol
+    monkeypatch.setattr(
+        runner, "run_protocol",
+        lambda *args, **kwargs: calls.append(1) or run(*args, **kwargs),
+    )
+    monkeypatch.setattr(bench.gc, "collect", lambda: collected.append(len(calls)))
+    _, sends = bench._time_backend(BenchCase("BCAST", 64, 1, _LAM), "turbo")
+    assert sends == 63
+    assert len(calls) == 3  # a fast run is not repeated until a time budget
+    assert collected == [0]  # one collection, before the first repetition
 
 
 def test_bench_cli_forwards_jobs_to_the_batch_section(monkeypatch, capsys):

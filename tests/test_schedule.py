@@ -6,6 +6,7 @@ import pytest
 
 import repro.plan.columns
 from repro.core.bcast import bcast_schedule
+from repro.core.fibfunc import postal_f
 from repro.core.schedule import Schedule, SendEvent, tick_columns
 from repro.errors import (
     InvalidParameterError,
@@ -301,3 +302,153 @@ def test_pair_latency_broadcasts_carry_no_certificates(monkeypatch):
     _lift_lower_bound(monkeypatch, result.completion_time)
     result.system.audit()
 
+
+
+# ------------------------------------------------------- columnar schedule
+
+
+@pytest.fixture
+def send_events(monkeypatch):
+    """A list that grows by one entry per :class:`SendEvent` built."""
+    built = []
+    init = SendEvent.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(SendEvent, "__init__", counting_init)
+    return built
+
+
+class TestColumnarSchedule:
+    """The columns are the schedule; its events are built only when read."""
+
+    @pytest.mark.parametrize("backend", ["replay", "turbo"])
+    def test_default_fast_lane_call_builds_no_event(self, send_events, backend):
+        result = run_protocol("BCAST", n=64, lam="5/2", backend=backend)
+        assert result.completion_time == bcast_schedule(64, "5/2").completion_time()
+        assert len(result.schedule) == 63
+        assert send_events == []
+        exact = run_protocol("BCAST", n=64, lam="5/2").schedule
+        assert list(result.schedule) == list(exact.events)
+
+    def test_validated_builder_completion_builds_no_event(self, send_events):
+        assert bcast_schedule(64, "5/2").completion_time() == postal_f(Fraction(5, 2), 64)
+        assert send_events == []
+
+    def test_validated_completion_reads_the_audit(self, monkeypatch):
+        schedule = bcast_schedule(64, "5/2")
+
+        def no_arrivals(self):
+            raise AssertionError("arrivals rebuilt")
+
+        monkeypatch.setattr(Schedule, "arrivals", no_arrivals)
+        assert schedule.completion_time() == postal_f(Fraction(5, 2), 64)
+        assert Schedule(1, 2, []).completion_time() == 0
+
+    def test_unvalidated_duplicate_delivery_still_raises(self):
+        for schedule in (
+            Schedule(3, 2, [ev(0, 0, 1), ev(1, 0, 1)], validate=False),
+            Schedule.from_columns(
+                3, 2, 1, [0, 1], [0, 0], [0, 0], [1, 1], validate=False
+            ),
+        ):
+            with pytest.raises(ScheduleError, match="more than once"):
+                schedule.completion_time()
+
+    def test_equality_across_scales_builds_no_event(self, send_events):
+        events = [ev(0, 0, 1), ev(1, 0, 2), ev(Fraction(5, 2), 1, 3)]
+        built = Schedule(4, "5/2", events)
+        send_events.clear()
+        # the same rows at scale 4, out of order
+        columns = Schedule.from_columns(
+            4, "5/2", 4, [10, 0, 4], [1, 0, 0], [0, 0, 0], [3, 1, 2]
+        )
+        assert columns == built and built == columns
+        assert columns != Schedule.from_columns(
+            4, "5/2", 4, [10, 0, 4], [1, 0, 0], [0, 0, 0], [3, 2, 1],
+            validate=False,
+        )
+        assert send_events == []
+        assert columns.events == built.events
+        assert columns.completion_time() == 5
+
+    def test_rows_out_of_event_order_report_the_events_first_violation(self):
+        # two senders that hold nothing at t = 0; in event order p1's send
+        # comes first, in row order p3's
+        rows = [(0, 3, 0, 1), (0, 1, 0, 2), (0, 0, 0, 3)]
+        events = [ev(t, s, r, k) for t, s, k, r in rows]
+        with pytest.raises(ScheduleError) as by_events:
+            Schedule(4, 2, events)
+        with pytest.raises(ScheduleError) as by_columns:
+            Schedule.from_columns(4, 2, 1, *map(list, zip(*rows)))
+        assert "p1 sends M1" in str(by_events.value)
+        assert str(by_columns.value) == str(by_events.value)
+
+    def test_unsorted_ticks_validate_in_tick_order(self):
+        schedule = bcast_schedule(13, "5/2")
+        rows = list(zip(*schedule._columns))[::-1]
+        reversed_rows = Schedule.from_columns(
+            13, "5/2", 2, *map(list, zip(*rows))
+        )
+        assert reversed_rows == schedule
+        assert reversed_rows.completion_time() == schedule.completion_time()
+
+    def test_bad_columns(self):
+        with pytest.raises(InvalidParameterError, match="positive int"):
+            Schedule.from_columns(2, 2, 0, [0], [0], [0], [1])
+        with pytest.raises(InvalidParameterError, match="tick grid"):
+            Schedule.from_columns(2, "5/2", 3, [0], [0], [0], [1])
+        with pytest.raises(InvalidParameterError, match="disagree"):
+            Schedule.from_columns(2, 2, 1, [0, 1], [0], [0], [1])
+
+    def test_ticks_past_int64(self):
+        from repro.plan.build import compile_schedule
+
+        lam = 1 + Fraction(1, 2**61 - 1)
+        schedule = compile_schedule("BCAST", 64, 1, lam, validate=True)
+        exact = run_protocol("BCAST", n=64, lam=lam).schedule
+        assert schedule.completion_time() == exact.completion_time()
+        assert max(schedule._columns[0]) >= 2**63  # Python ints, not int64
+        assert schedule.events == exact.events
+        assert schedule == exact
+
+    @pytest.mark.parametrize("read_events", [False, True])
+    def test_pickle_round_trip(self, read_events):
+        import pickle
+
+        for schedule in (
+            bcast_schedule(64, "5/2"),
+            run_protocol("PIPELINE-2", n=16, m=3, lam="5/2",
+                         backend="replay").schedule,
+        ):
+            if read_events:
+                schedule.events
+            clone = pickle.loads(pickle.dumps(schedule))
+            assert clone == schedule
+            assert clone.events == schedule.events
+            assert clone.completion_time() == schedule.completion_time()
+
+    def test_fast_lanes_and_builders_leave_numpy_unloaded(self):
+        import os
+        import subprocess
+        import sys
+
+        code = (
+            "import sys\n"
+            "import repro\n"
+            "from repro.core.bcast import bcast_schedule\n"
+            "repro.run_protocol('BCAST', n=100, lam='5/2', backend='turbo')\n"
+            "repro.run_protocol('PIPELINE-2', n=50, m=3, lam='5/2')\n"
+            "bcast_schedule(100, '5/2').events\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        src = os.path.dirname(os.path.dirname(repro.plan.columns.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+        env["PYTHONPATH"] = os.path.dirname(src)
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True,
+            text=True, check=True,
+        )
+        assert out.stdout.strip() == "False"
