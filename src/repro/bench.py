@@ -248,20 +248,28 @@ RESILIENCE_GATE_N = 1_000
 #: ceiling check, a loss-only point, and a combined loss + crash point.
 RESILIENCE_CASES = ((0.0, 0.0), (0.05, 0.0), (0.2, 0.05))
 
-#: Per-family message counts used by the grid (``m`` scales work for the
-#: multi-message families without drowning the run in parameters; the
-#: collectives are all single-message protocols).
-_FAMILY_M = {
-    "BCAST": 1,
-    "PIPELINE-2": 4,
-    "DTREE-BINARY": 2,
-    "ALLGATHER": 1,
-    "BRUCK-ALLGATHER": 1,
-    "ALLTOALL": 1,
-    "GOSSIP-RING": 1,
-    "REDUCE": 1,
-    "ALLREDUCE": 1,
-    "BARRIER": 1,
+#: The bench grid: family -> ``(m, smoke sizes, full sizes)``.  ``m``
+#: scales work for the multi-message families without drowning the run
+#: in parameters; the collectives are all single-message protocols.
+#: Smoke keeps the multi-message families at ``n <= 10^3`` so the CI job
+#: stays fast while still exercising every family; BCAST goes to
+#: ``10^4`` because the acceptance gate is measured there, and the
+#: quadratic-delivery exchanges (ALLGATHER and friends: Theta(n^2)
+#: sends) stop at ``10^2`` — the collective gate's 10^4-send point.
+#: Full extends the broadcast families to ``10^5``, the tree-shaped
+#: collectives to ``10^4``, and the quadratic exchanges to ``3*10^2``
+#: (~9*10^4 sends each).
+_GRID: "dict[str, tuple[int, Sequence[int], Sequence[int]]]" = {
+    "BCAST": (1, (100, 1_000, 10_000), (100, 1_000, 10_000, 100_000)),
+    "PIPELINE-2": (4, (100, 1_000), (100, 1_000, 10_000, 100_000)),
+    "DTREE-BINARY": (2, (100, 1_000), (100, 1_000, 10_000, 100_000)),
+    "ALLGATHER": (1, (100,), (100, 300)),
+    "BRUCK-ALLGATHER": (1, (100,), (100, 300)),
+    "ALLTOALL": (1, (100,), (100, 300)),
+    "GOSSIP-RING": (1, (100,), (100, 300)),
+    "REDUCE": (1, (1_000,), (1_000, 10_000)),
+    "ALLREDUCE": (1, (1_000,), (1_000, 10_000)),
+    "BARRIER": (1, (1_000,), (1_000, 10_000)),
 }
 
 #: Uniform latency for every grid case — integer, so the gate measures
@@ -280,9 +288,9 @@ class BenchCase:
 
     def protocol(self):
         """A *fresh* protocol instance (protocols hold run state)."""
-        from repro.conformance.oracles import get_oracle
+        from repro.conformance.oracles import resolve_oracle
 
-        return get_oracle(self.family).protocol(
+        return resolve_oracle(self.family, self.m, self.lam).protocol(
             n=self.n, m=self.m, lam=self.lam
         )
 
@@ -311,48 +319,15 @@ class BenchResult:
 
 
 def bench_grid(mode: str = "smoke") -> list[BenchCase]:
-    """The case grid for *mode* (``"smoke"`` or ``"full"``).
-
-    Smoke keeps the multi-message families at ``n <= 10^3`` so the CI
-    job stays fast while still exercising every family; BCAST goes to
-    ``10^4`` because the acceptance gate is measured there, and the
-    quadratic-delivery exchanges (ALLGATHER and friends: Theta(n^2)
-    sends) stop at ``10^2`` — the collective gate's 10^4-send point.
-    Full extends the broadcast families to ``10^5``, the tree-shaped
-    collectives to ``10^4``, and the quadratic exchanges to ``3*10^2``
-    (~9*10^4 sends each).
-    """
+    """The case grid for *mode* (``"smoke"`` or ``"full"``): every
+    :data:`_GRID` family at its ``m`` and the mode's sizes."""
     if mode not in ("smoke", "full"):
         raise ValueError(f"unknown bench mode {mode!r}")
-    sizes: dict[str, Sequence[int]] = {
-        "BCAST": (100, 1_000, 10_000),
-        "PIPELINE-2": (100, 1_000),
-        "DTREE-BINARY": (100, 1_000),
-        "ALLGATHER": (100,),
-        "BRUCK-ALLGATHER": (100,),
-        "ALLTOALL": (100,),
-        "GOSSIP-RING": (100,),
-        "REDUCE": (1_000,),
-        "ALLREDUCE": (1_000,),
-        "BARRIER": (1_000,),
-    }
-    if mode == "full":
-        sizes = {
-            "BCAST": (100, 1_000, 10_000, 100_000),
-            "PIPELINE-2": (100, 1_000, 10_000, 100_000),
-            "DTREE-BINARY": (100, 1_000, 10_000, 100_000),
-            "ALLGATHER": (100, 300),
-            "BRUCK-ALLGATHER": (100, 300),
-            "ALLTOALL": (100, 300),
-            "GOSSIP-RING": (100, 300),
-            "REDUCE": (1_000, 10_000),
-            "ALLREDUCE": (1_000, 10_000),
-            "BARRIER": (1_000, 10_000),
-        }
+    full = mode == "full"
     return [
-        BenchCase(family, n, _FAMILY_M[family], _LAM)
-        for family, ns in sizes.items()
-        for n in ns
+        BenchCase(family, n, m, _LAM)
+        for family, (m, smoke, big) in _GRID.items()
+        for n in (big if full else smoke)
     ]
 
 

@@ -50,6 +50,7 @@ import argparse
 import sys
 from typing import Sequence
 
+from repro.conformance.oracles import broadcast_families, collective_families
 from repro.core.analysis import algorithm_times, best_algorithm, multi_lower_bound
 from repro.core.bcast import bcast_tree
 from repro.core.bounds import (
@@ -82,50 +83,22 @@ def as_time(value):
         ) from exc
 
 
-def _protocol_for(algorithm: str, n: int, m: int, lam):
-    from repro.algorithms import (
-        BcastProtocol,
-        BinomialProtocol,
-        DTreeProtocol,
-        PackProtocol,
-        PipelineProtocol,
-        RepeatProtocol,
-    )
+def _family(algorithm: str, n: int, m: int, lam):
+    """The family-table entry ``--algorithm`` names at ``(n, m, lambda)``:
+    the tuner's pick for an ``auto`` spec, else the entry
+    :func:`~repro.conformance.oracles.resolve_oracle` gives.  An unknown
+    name or a point outside the family's domain raises
+    :class:`~repro.errors.InvalidParameterError`, which :func:`main`
+    reports as one ``error:`` line."""
+    from repro.conformance.oracles import resolve_oracle
+    from repro.tune.model import auto_workload, resolve_family
 
-    algorithm = algorithm.lower()
-    if algorithm == "auto" or algorithm.startswith("auto:"):
-        # tuner-selected family; ReproError from an unknown workload or
-        # an inapplicable point surfaces through main()'s error handler
-        from repro.conformance.oracles import get_oracle
-        from repro.tune.model import resolve_family
-
-        resolved = resolve_family(algorithm, n, m, lam)
-        print(f"auto-selected family: {resolved}", file=sys.stderr)
-        return get_oracle(resolved).protocol(n=n, m=m, lam=lam)
-    if algorithm == "bcast":
-        return BcastProtocol(n, lam)
-    if algorithm == "repeat":
-        return RepeatProtocol(n, m, lam)
-    if algorithm == "pack":
-        return PackProtocol(n, m, lam)
-    if algorithm == "pipeline":
-        return PipelineProtocol(n, m, lam)
-    if algorithm.startswith("dtree-"):
-        return DTreeProtocol(n, m, lam, int(algorithm[6:]))
-    if algorithm == "star":
-        return DTreeProtocol(n, m, lam, max(1, n - 1))
-    if algorithm == "binomial":
-        return BinomialProtocol(n, lam)
-    # collectives (and any future family) resolve via the oracle registry
-    from repro.conformance.oracles import get_oracle
-    from repro.errors import InvalidParameterError
-
-    try:
-        oracle = get_oracle(algorithm)
-        oracle.check_applicable(n, m, lam)
-    except InvalidParameterError as exc:
-        raise SystemExit(str(exc)) from None
-    return oracle.protocol(n=n, m=m, lam=lam)
+    if auto_workload(algorithm) is not None:
+        algorithm = resolve_family(algorithm, n, m, lam)
+        print(f"auto-selected family: {algorithm}", file=sys.stderr)
+    oracle = resolve_oracle(algorithm, m, lam)
+    oracle.check_applicable(n, m, lam)
+    return oracle
 
 
 # ------------------------------------------------------------- commands
@@ -158,9 +131,9 @@ def cmd_tree(args: argparse.Namespace) -> int:
 def cmd_gantt(args: argparse.Namespace) -> int:
     from repro.plan.build import compile_schedule
 
-    # any broadcast family name, case-insensitive; anything else raises
-    # InvalidParameterError, reported by main()
-    sched = compile_schedule(args.algorithm, args.n, args.m, as_time(args.lam))
+    lam = as_time(args.lam)
+    oracle = _family(args.algorithm, args.n, args.m, lam)
+    sched = compile_schedule(oracle.family, args.n, args.m, lam)
     print(render_gantt(sched))
     print(f"\ncompletion: {time_repr(sched.completion_time())}")
     return 0
@@ -169,16 +142,19 @@ def cmd_gantt(args: argparse.Namespace) -> int:
 def cmd_simulate(args: argparse.Namespace) -> int:
     from repro.postal import run_protocol
 
-    proto = _protocol_for(args.algorithm, args.n, args.m, as_time(args.lam))
+    lam = as_time(args.lam)
+    proto = _family(args.algorithm, args.n, args.m, lam).protocol(
+        args.n, args.m, lam
+    )
     result = run_protocol(proto, backend=args.backend)
     print(f"algorithm : {proto.name}")
-    print(f"machine   : MPS(n={args.n}, lambda={time_repr(as_time(args.lam))})")
+    print(f"machine   : MPS(n={args.n}, lambda={time_repr(lam)})")
     print(f"messages  : {proto.m}")
     print(f"backend   : {args.backend}")
     print(f"completion: {time_repr(result.completion_time)}")
     print(f"sends     : {result.sends}")
     if proto.semantics == "broadcast":
-        lb = multi_lower_bound(args.n, proto.m, as_time(args.lam))
+        lb = multi_lower_bound(args.n, proto.m, lam)
         if lb > 0:
             print(f"Lemma 8 LB: {time_repr(lb)}  "
                   f"(ratio {float(result.completion_time / lb):.3f})")
@@ -537,7 +513,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
     if args.profile:
         from repro.bench import BenchCase, profile_case
-        from repro.bench import _FAMILY_M, _LAM
+        from repro.bench import _GRID, _LAM
 
         parts = args.profile.split(":")
         if len(parts) not in (2, 3):
@@ -549,7 +525,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         family = parts[0].upper()
         n = int(parts[1])
         backend = parts[2] if len(parts) == 3 else "turbo"
-        case = BenchCase(family, n, _FAMILY_M.get(family, 1), _LAM)
+        m = _GRID[family][0] if family in _GRID else 1
+        case = BenchCase(family, n, m, _LAM)
         dump = (args.out or "bench") + ".profile.pstats"
         print()
         print(profile_case(case, backend=backend, out=dump), end="")
@@ -674,31 +651,6 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     return 1
 
 
-def _closed_form_time(algorithm: str, n: int, m: int, lam):
-    """Exact closed-form completion time for the named algorithm, or
-    ``None`` when only an upper bound is known (DTREE for d >= 2)."""
-    from repro.core.analysis import (
-        bcast_time,
-        dtree_upper,
-        pack_time,
-        pipeline_time,
-        repeat_time,
-    )
-
-    algorithm = algorithm.lower()
-    if algorithm == "bcast":
-        return bcast_time(n, lam)
-    if algorithm == "repeat":
-        return repeat_time(n, m, lam)
-    if algorithm == "pack":
-        return pack_time(n, m, lam)
-    if algorithm == "pipeline":
-        return pipeline_time(n, m, lam)
-    if algorithm == "dtree-1":
-        return dtree_upper(n, m, lam, 1)  # exact for the line
-    return None
-
-
 def cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs import (
         critical_path,
@@ -711,7 +663,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
     from repro.report.tables import utilization_table
 
     lam = as_time(args.lam)
-    proto = _protocol_for(args.algorithm, args.n, args.m, lam)
+    oracle = _family(args.algorithm, args.n, args.m, lam)
+    proto = oracle.protocol(args.n, args.m, lam)
     result = run_protocol(proto, profile=args.profile)
     metrics = result.metrics
     assert metrics is not None
@@ -721,7 +674,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     print(f"completion: {time_repr(result.completion_time)}")
     print(f"sends     : {result.sends}")
 
-    closed = _closed_form_time(args.algorithm, args.n, proto.m, lam)
+    closed = oracle.time(args.n, args.m, lam) if oracle.exact else None
     if result.schedule is not None:
         path = critical_path(result.schedule)
         anchored = "tight to t=0" if path.tight else "has upstream slack"
@@ -880,6 +833,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Postal-model broadcasting (Bar-Noy & Kipnis, SPAA 1992)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    broadcast = ", ".join(f.lower() for f in broadcast_families())
+    families_help = (
+        f"any family, in any case: {broadcast}, the collectives "
+        f"({', '.join(f.lower() for f in collective_families())}), "
+        "pipeline, dtree-<d>, or auto[:<workload>]"
+    )
 
     p = sub.add_parser("fib", help="evaluate F_lambda(t) / f_lambda(n)")
     p.add_argument("--lam", required=True, help="latency lambda >= 1 (e.g. 5/2)")
@@ -900,8 +859,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         default="bcast",
-        help="broadcast family (bcast, repeat, pack, pipeline, dtree-<d>, "
-        "dtree-line/binary/latency, star, binomial)",
+        help=f"a broadcast family, in any case: {broadcast}, pipeline, "
+        "dtree-<d>, or auto",
     )
     p.set_defaults(func=cmd_gantt)
 
@@ -912,10 +871,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithm",
         default="bcast",
-        help="a broadcast builder (bcast, repeat, pack, pipeline, "
-        "dtree-<d>, star, binomial) or any oracle family, including the "
-        "collectives (gather, scatter, alltoall, reduce, allreduce, "
-        "barrier, allgather, bruck-allgather, gossip-ring)",
+        help=families_help,
     )
     p.add_argument(
         "--backend",
@@ -966,7 +922,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-n", "--n", dest="n", type=int, required=True)
     p.add_argument("--lam", required=True)
     p.add_argument("-m", "--m", dest="m", type=int, default=1)
-    p.add_argument("--algorithm", default="bcast")
+    p.add_argument("--algorithm", default="bcast", help=families_help)
     p.add_argument(
         "--chrome",
         metavar="PATH",

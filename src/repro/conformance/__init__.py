@@ -3,10 +3,12 @@
 The conformance subsystem certifies every protocol family against the
 paper's closed forms, from four independent directions at once:
 
-* :mod:`repro.conformance.oracles` — the **oracle registry**: each
-  family's exact (or upper-bound) running-time formula with its paper
-  citation, applicability predicate, protocol factory, and independent
-  static schedule builder.
+* :mod:`repro.conformance.oracles` — the **oracle registry**, the one
+  family table: each family's exact (or upper-bound) running-time
+  formula with its paper citation, applicability predicate, protocol
+  factory, independent static schedule builder and plan compiler, and
+  :func:`~repro.conformance.oracles.resolve_oracle`, which maps any
+  family name the entry points accept to its entry.
 * :mod:`repro.conformance.certify` — :func:`certify_config`:
   end-to-end certification of one ``(family, n, m, lambda, policy)``
   grid point — postal axioms, closed-form makespan, Lemma 5 population
@@ -56,6 +58,7 @@ from repro.conformance.oracles import (
     families,
     get_oracle,
     register,
+    resolve_oracle,
 )
 
 __all__ = [
@@ -63,6 +66,7 @@ __all__ = [
     "REGISTRY",
     "register",
     "get_oracle",
+    "resolve_oracle",
     "families",
     "broadcast_families",
     "collective_families",

@@ -1,10 +1,21 @@
-"""The oracle registry: every protocol family mapped to its closed form.
+"""The family table: every protocol family in one registry entry.
 
-An :class:`Oracle` is the *certifiable identity* of one protocol family:
-its exact (or upper-bound) running-time formula with the paper citation,
-its applicability predicate over ``(n, m, lambda)``, the event-driven
-:class:`~repro.algorithms.base.Protocol` factory, and — where one exists —
-the independent static schedule builder the simulation is diffed against.
+An :class:`Oracle` is one protocol family, whole: its exact (or
+upper-bound) running-time formula with the paper citation, its
+applicability predicate over ``(n, m, lambda)``, the event-driven
+:class:`~repro.algorithms.base.Protocol` factory, the independent static
+schedule builder the simulation is diffed against (broadcast families),
+and the integer-tick plan compiler of :mod:`repro.plan.build` with the
+plan's message-count and send-count rules.  The plan layer, the runners,
+the CLI, :func:`repro.core.analysis.algorithm_times` and the tuner all
+read this table; none of them lists families itself.
+
+:func:`resolve_oracle` maps a user-given name to its entry: a registered
+name in any case, ``PIPELINE`` (PIPELINE-1 or PIPELINE-2 by
+:func:`~repro.core.multi.pipeline_variant`), or ``DTREE-<d>`` for a
+positive decimal degree ``d`` (an entry made on demand, never
+registered).  Every other name raises one
+:class:`~repro.errors.InvalidParameterError` message.
 
 Registered families and their certificates:
 
@@ -39,7 +50,6 @@ Broadcast families additionally certify the Lemma 5 population bound
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -85,16 +95,38 @@ from repro.core.analysis import (
     repeat_time,
 )
 from repro.core.bcast import bcast_schedule
-from repro.core.dtree import dtree_schedule
-from repro.core.multi import pack_schedule, pipeline_schedule, repeat_schedule
+from repro.core.dtree import DTreeShape, dtree_schedule, resolve_degree
+from repro.core.multi import (
+    pack_schedule,
+    pipeline_schedule,
+    pipeline_variant,
+    repeat_schedule,
+)
 from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
+from repro.plan.build import (
+    _compile_allgather,
+    _compile_alltoall,
+    _compile_bcast,
+    _compile_binomial,
+    _compile_bruck,
+    _compile_combine_bcast,
+    _compile_dtree,
+    _compile_gather,
+    _compile_gossip,
+    _compile_pack,
+    _compile_pipeline,
+    _compile_reduce,
+    _compile_repeat,
+    _compile_scatter,
+)
 from repro.types import Time, TimeLike, as_time
 
 __all__ = [
     "Oracle",
     "register",
     "get_oracle",
+    "resolve_oracle",
     "families",
     "broadcast_families",
     "collective_families",
@@ -119,6 +151,9 @@ class Oracle:
             for PIPELINE-1.
         time: ``(n, m, lam) -> Time`` — the closed form (or upper bound).
         protocol: ``(n, m, lam) -> Protocol`` — the event-driven program.
+        keys: ``(n, m, lam, scale) -> list[int]`` — the plan compiler:
+            the packed send keys of :mod:`repro.plan.build` at ``scale``
+            ticks per time unit, with ``m`` the plan's message count.
         schedule: optional ``(n, m, lam) -> Schedule`` — the independent
             static builder (constructed **unvalidated**; the certifier
             validates, so a buggy builder cannot hide behind its own
@@ -127,6 +162,12 @@ class Oracle:
         supports_queued: meaningful to re-run under the queued contention
             policy (every registered family is collision-free, so queued
             and strict must realize identical arrival times).
+        messages: optional ``n -> m`` — the message-index space of the
+            family's plan (:func:`repro.plan.build.plan_m`); ``None``
+            passes the requested ``m`` through, as a broadcast does.
+        sends: optional ``n -> count`` — the plan's length at ``n >= 2``
+            (:func:`repro.plan.build.plan_sends`); ``None`` means a
+            broadcast's ``m (n - 1)``.
     """
 
     family: str
@@ -136,9 +177,12 @@ class Oracle:
     applicable: Callable[[int, int, Time], bool]
     time: Callable[[int, int, Time], Time]
     protocol: Callable[[int, int, Time], Protocol]
+    keys: Callable[[int, int, Time, int], list[int]]
     schedule: Callable[[int, int, Time], Schedule] | None = None
     order_preserving: bool = True
     supports_queued: bool = True
+    messages: Callable[[int], int] | None = None
+    sends: Callable[[int], int] | None = None
 
     def lower_bound(self, n: int, m: int, lam: Time) -> Time | None:
         """The Lemma 8 certificate ``(m-1) + f_lambda(n)`` for broadcast
@@ -172,7 +216,7 @@ def register(oracle: Oracle) -> Oracle:
 
 
 def get_oracle(family: str) -> Oracle:
-    """Look up a family (case-insensitive)."""
+    """Look up a registered family (case-insensitive)."""
     key = family.upper()
     if key not in REGISTRY:
         raise InvalidParameterError(
@@ -180,6 +224,45 @@ def get_oracle(family: str) -> Oracle:
             f"(registered: {', '.join(sorted(REGISTRY))})"
         )
     return REGISTRY[key]
+
+
+def resolve_oracle(family: str, m: int, lam: TimeLike) -> Oracle:
+    """The entry a user-given family name selects at ``(m, lambda)``.
+
+    * A registered name, in any case, gives its entry.
+    * ``PIPELINE`` gives PIPELINE-1 or PIPELINE-2, by
+      :func:`~repro.core.multi.pipeline_variant` (Lemma 14 vs 16).
+    * ``DTREE-<d>``, ``d`` a positive decimal integer, gives a DTREE
+      entry at degree ``d`` named ``DTREE-{d}`` (so ``DTREE-03`` is
+      ``DTREE-3``), made on demand and never registered: its time is
+      the Lemma 18 bound, exact when ``d = 1``.
+
+    Raises:
+        InvalidParameterError: any other name.
+    """
+    key = family.upper()
+    oracle = REGISTRY.get(key)
+    if oracle is not None:
+        return oracle
+    if key == "PIPELINE":
+        return REGISTRY[pipeline_variant(m, lam)]
+    degree = key[len("DTREE-"):]
+    if key.startswith("DTREE-") and degree.isascii() and degree.isdigit():
+        try:
+            d = int(degree)
+        except ValueError:  # more digits than int() converts
+            d = 0
+        if d >= 1:
+            return _dtree(
+                f"DTREE-{d}",
+                f"Lemma 18 (d = {d}, {'exact' if d == 1 else 'upper bound'})",
+                d,
+                exact=d == 1,
+            )
+    raise InvalidParameterError(
+        f"unknown family {family!r} (registered: {', '.join(families())}; "
+        "also PIPELINE and DTREE-<d> for a degree d >= 1)"
+    )
 
 
 def families() -> tuple[str, ...]:
@@ -210,6 +293,40 @@ def _single_message(n: int, m: int, lam: Time) -> bool:
     return m == 1
 
 
+def _dtree_keys(shape: "DTreeShape | int"):
+    return lambda n, m, lam, scale: _compile_dtree(
+        n, m, lam, scale, resolve_degree(shape, n, lam)
+    )
+
+
+def _dtree(
+    family: str,
+    citation: str,
+    shape: "DTreeShape | int",
+    *,
+    exact: bool = False,
+    applicable: Callable[[int, int, Time], bool] = _any,
+) -> Oracle:
+    """A DTREE entry over a named *shape* or an explicit degree."""
+
+    def degree(n: int, lam: Time) -> int:
+        return shape.degree(n, lam) if isinstance(shape, DTreeShape) else shape
+
+    return Oracle(
+        family=family,
+        citation=citation,
+        exact=exact,
+        semantics="broadcast",
+        applicable=applicable,
+        time=lambda n, m, lam: dtree_upper(n, m, lam, degree(n, lam)),
+        protocol=lambda n, m, lam: DTreeProtocol(n, m, lam, shape),
+        keys=_dtree_keys(shape),
+        schedule=lambda n, m, lam: dtree_schedule(
+            n, m, lam, shape, validate=False
+        ),
+    )
+
+
 register(
     Oracle(
         family="BCAST",
@@ -219,6 +336,7 @@ register(
         applicable=_single_message,
         time=lambda n, m, lam: bcast_time(n, lam),
         protocol=lambda n, m, lam: BcastProtocol(n, lam),
+        keys=_compile_bcast,
         schedule=lambda n, m, lam: bcast_schedule(n, lam, validate=False),
     )
 )
@@ -232,6 +350,7 @@ register(
         applicable=_any,
         time=repeat_time,
         protocol=lambda n, m, lam: RepeatProtocol(n, m, lam),
+        keys=_compile_repeat,
         schedule=lambda n, m, lam: repeat_schedule(n, m, lam, validate=False),
     )
 )
@@ -245,6 +364,7 @@ register(
         applicable=_any,
         time=pack_time,
         protocol=lambda n, m, lam: PackProtocol(n, m, lam),
+        keys=_compile_pack,
         schedule=lambda n, m, lam: pack_schedule(n, m, lam, validate=False),
     )
 )
@@ -258,6 +378,7 @@ register(
         applicable=lambda n, m, lam: m <= lam,
         time=pipeline_time,
         protocol=lambda n, m, lam: PipelineProtocol(n, m, lam),
+        keys=_compile_pipeline,
         schedule=lambda n, m, lam: pipeline_schedule(n, m, lam, validate=False),
     )
 )
@@ -271,49 +392,33 @@ register(
         applicable=lambda n, m, lam: m >= lam,
         time=pipeline_time,
         protocol=lambda n, m, lam: PipelineProtocol(n, m, lam),
+        keys=_compile_pipeline,
         schedule=lambda n, m, lam: pipeline_schedule(n, m, lam, validate=False),
     )
 )
 
 register(
-    Oracle(
-        family="DTREE-LINE",
-        citation="Lemma 18 (d = 1, exact)",
-        exact=True,
-        semantics="broadcast",
-        applicable=_any,
-        time=lambda n, m, lam: dtree_upper(n, m, lam, 1),
-        protocol=lambda n, m, lam: DTreeProtocol(n, m, lam, 1),
-        schedule=lambda n, m, lam: dtree_schedule(n, m, lam, 1, validate=False),
+    _dtree(
+        "DTREE-LINE", "Lemma 18 (d = 1, exact)", DTreeShape.LINE, exact=True
     )
 )
 
 register(
-    Oracle(
-        family="DTREE-BINARY",
-        citation="Lemma 18 (d = 2, upper bound)",
-        exact=False,
-        semantics="broadcast",
+    _dtree(
+        "DTREE-BINARY",
+        "Lemma 18 (d = 2, upper bound)",
+        DTreeShape.BINARY,
         applicable=lambda n, m, lam: n >= 2,
-        time=lambda n, m, lam: dtree_upper(n, m, lam, 2),
-        protocol=lambda n, m, lam: DTreeProtocol(n, m, lam, 2),
-        schedule=lambda n, m, lam: dtree_schedule(n, m, lam, 2, validate=False),
     )
 )
 
 register(
-    Oracle(
-        family="DTREE-LATENCY",
-        citation="Lemma 18 (d = ceil(lambda)+1, upper bound)",
-        exact=False,
-        semantics="broadcast",
-        applicable=lambda n, m, lam: n >= 2 and math.ceil(lam) + 1 <= n - 1,
-        time=lambda n, m, lam: dtree_upper(n, m, lam, math.ceil(lam) + 1),
-        protocol=lambda n, m, lam: DTreeProtocol(
-            n, m, lam, math.ceil(lam) + 1
-        ),
-        schedule=lambda n, m, lam: dtree_schedule(
-            n, m, lam, math.ceil(lam) + 1, validate=False
+    _dtree(
+        "DTREE-LATENCY",
+        "Lemma 18 (d = ceil(lambda)+1, upper bound)",
+        DTreeShape.LATENCY,
+        applicable=lambda n, m, lam: (
+            n >= 2 and DTreeShape.LATENCY.degree(n, lam) <= n - 1
         ),
     )
 )
@@ -327,8 +432,9 @@ register(
         applicable=_any,
         time=star_time,
         protocol=lambda n, m, lam: StarProtocol(n, m, lam),
+        keys=_dtree_keys(DTreeShape.STAR),
         schedule=lambda n, m, lam: dtree_schedule(
-            n, m, lam, max(1, n - 1), validate=False
+            n, m, lam, DTreeShape.STAR, validate=False
         ),
     )
 )
@@ -342,126 +448,112 @@ register(
         applicable=_single_message,
         time=lambda n, m, lam: binomial_time(n, lam),
         protocol=lambda n, m, lam: BinomialProtocol(n, lam),
+        keys=_compile_binomial,
         schedule=lambda n, m, lam: binomial_schedule(n, lam, validate=False),
     )
 )
 
 
 # collectives — completion certified against the closed form; the port and
-# delivery audits still apply, but the broadcast schedule IR does not
+# delivery audits still apply, but the broadcast schedule IR does not.
+# Their plans use the message index as a data label, so each carries a
+# fixed per-n message space: one index per source/destination for the
+# personalized shapes, one per rumor for the allgathers and the gossip
+# ring, a single logical message for the combine-shaped ones.
+
+
+def _collective(
+    family: str,
+    citation: str,
+    semantics: str,
+    time: Callable[[int, Time], Time],
+    protocol: Callable[[int, Time], Protocol],
+    keys: Callable[[int, int, Time, int], list[int]],
+    messages: Callable[[int], int],
+    sends: Callable[[int], int],
+    *,
+    applicable: Callable[[int, int, Time], bool] = _single_message,
+    order_preserving: bool = False,
+) -> Oracle:
+    """An exact single-message collective, its closed form and protocol
+    over ``(n, lambda)``."""
+    return Oracle(
+        family=family,
+        citation=citation,
+        exact=True,
+        semantics=semantics,
+        applicable=applicable,
+        time=lambda n, m, lam: time(n, lam),
+        protocol=lambda n, m, lam: protocol(n, lam),
+        keys=keys,
+        order_preserving=order_preserving,
+        messages=messages,
+        sends=sends,
+    )
+
 
 register(
-    Oracle(
-        family="REDUCE",
-        citation="reversal of Theorem 6 (Cidon-Gopal-Kutten [6])",
-        exact=True,
-        semantics="reduction",
+    _collective(
+        "REDUCE", "reversal of Theorem 6 (Cidon-Gopal-Kutten [6])",
+        "reduction", reduce_time, ReduceProtocol, _compile_reduce,
+        lambda n: 1, lambda n: n - 1,
         applicable=lambda n, m, lam: m == 1 and n >= 1,
-        time=lambda n, m, lam: reduce_time(n, lam),
-        protocol=lambda n, m, lam: ReduceProtocol(n, lam),
+        order_preserving=True,
     )
 )
-
 register(
-    Oracle(
-        family="SCATTER",
-        citation="Section 5 (direct star, optimal)",
-        exact=True,
-        semantics="scatter",
-        applicable=_single_message,
-        time=lambda n, m, lam: scatter_time(n, lam),
-        protocol=lambda n, m, lam: ScatterProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "SCATTER", "Section 5 (direct star, optimal)", "scatter",
+        scatter_time, ScatterProtocol, _compile_scatter,
+        lambda n: max(1, n - 1), lambda n: n - 1,
     )
 )
-
 register(
-    Oracle(
-        family="GATHER",
-        citation="Section 5 (direct, optimal)",
-        exact=True,
-        semantics="gather",
-        applicable=_single_message,
-        time=lambda n, m, lam: gather_time(n, lam),
-        protocol=lambda n, m, lam: GatherProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "GATHER", "Section 5 (direct, optimal)", "gather",
+        gather_time, GatherProtocol, _compile_gather,
+        lambda n: max(1, n - 1), lambda n: n - 1,
     )
 )
-
 register(
-    Oracle(
-        family="ALLTOALL",
-        citation="Section 5 (rotation, optimal)",
-        exact=True,
-        semantics="alltoall",
-        applicable=_single_message,
-        time=lambda n, m, lam: alltoall_time(n, lam),
-        protocol=lambda n, m, lam: AllToAllProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "ALLTOALL", "Section 5 (rotation, optimal)", "alltoall",
+        alltoall_time, AllToAllProtocol, _compile_alltoall,
+        lambda n: max(1, n - 1), lambda n: n * (n - 1),
     )
 )
-
 register(
-    Oracle(
-        family="ALLREDUCE",
-        citation="combine + broadcast (2x combine LB)",
-        exact=True,
-        semantics="allreduce",
-        applicable=_single_message,
-        time=lambda n, m, lam: allreduce_time(n, lam),
-        protocol=lambda n, m, lam: AllreduceProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "ALLREDUCE", "combine + broadcast (2x combine LB)", "allreduce",
+        allreduce_time, AllreduceProtocol, _compile_combine_bcast,
+        lambda n: 1, lambda n: 2 * (n - 1),
     )
 )
-
 register(
-    Oracle(
-        family="BARRIER",
-        citation="combine + notify",
-        exact=True,
-        semantics="barrier",
-        applicable=_single_message,
-        time=lambda n, m, lam: barrier_time(n, lam),
-        protocol=lambda n, m, lam: BarrierProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "BARRIER", "combine + notify", "barrier",
+        barrier_time, BarrierProtocol, _compile_combine_bcast,
+        lambda n: 1, lambda n: 2 * (n - 1),
     )
 )
-
 register(
-    Oracle(
-        family="ALLGATHER",
-        citation="Section 5 gossip upper bound (gather + PIPELINE)",
-        exact=True,
-        semantics="allgather",
-        applicable=_single_message,
-        time=lambda n, m, lam: allgather_time(n, lam),
-        protocol=lambda n, m, lam: AllgatherProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "ALLGATHER", "Section 5 gossip upper bound (gather + PIPELINE)",
+        "allgather", allgather_time, AllgatherProtocol, _compile_allgather,
+        lambda n: max(1, n), lambda n: n * n - 1,
     )
 )
-
 register(
-    Oracle(
-        family="BRUCK-ALLGATHER",
-        citation="Bruck et al. doubling rounds (Section 5 gossip)",
-        exact=True,
-        semantics="allgather",
-        applicable=_single_message,
-        time=lambda n, m, lam: bruck_time(n, lam),
-        protocol=lambda n, m, lam: BruckAllgatherProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "BRUCK-ALLGATHER", "Bruck et al. doubling rounds (Section 5 gossip)",
+        "allgather", bruck_time, BruckAllgatherProtocol, _compile_bruck,
+        lambda n: max(1, n), lambda n: n * (n - 1),
     )
 )
-
 register(
-    Oracle(
-        family="GOSSIP-RING",
-        citation="pipelined ring baseline (Section 5 gossip)",
-        exact=True,
-        semantics="gossip",
-        applicable=_single_message,
-        time=lambda n, m, lam: gossip_ring_time(n, lam),
-        protocol=lambda n, m, lam: GossipRingProtocol(n, lam),
-        order_preserving=False,
+    _collective(
+        "GOSSIP-RING", "pipelined ring baseline (Section 5 gossip)",
+        "gossip", gossip_ring_time, GossipRingProtocol, _compile_gossip,
+        lambda n: max(1, n), lambda n: n * (n - 1),
     )
 )

@@ -214,25 +214,23 @@ ALGORITHMS = ("REPEAT", "PACK", "PIPELINE", "DTREE-LINE", "DTREE-BINARY",
 def algorithm_times(n: int, m: int, lam: TimeLike) -> dict[str, Fraction]:
     """Exact running time of every algorithm family at ``(n, m, lambda)``.
 
-    REPEAT/PACK/PIPELINE use the closed forms above; the DTREE variants run
-    the deterministic event-driven builder (their closed form is only an
-    upper bound).
+    Each value comes from the family's registry entry
+    (:func:`repro.conformance.oracles.resolve_oracle`; ``PIPELINE``
+    resolves to its Lemma 14/16 variant and ``DTREE-STAR`` is ``STAR``):
+    the closed form where the entry is exact, otherwise the completion of
+    its deterministic static builder (DTREE-BINARY and DTREE-LATENCY,
+    whose Lemma 18 formula is only an upper bound).
     """
-    from repro.core.dtree import DTreeShape, dtree_schedule
+    from repro.conformance.oracles import resolve_oracle
 
     n, m, lam = _params(n, m, lam)
-    out: dict[str, Fraction] = {
-        "REPEAT": repeat_time(n, m, lam),
-        "PACK": pack_time(n, m, lam),
-        "PIPELINE": pipeline_time(n, m, lam),
-    }
-    for name, shape in (
-        ("DTREE-LINE", DTreeShape.LINE),
-        ("DTREE-BINARY", DTreeShape.BINARY),
-        ("DTREE-LATENCY", DTreeShape.LATENCY),
-        ("DTREE-STAR", DTreeShape.STAR),
-    ):
-        out[name] = dtree_schedule(n, m, lam, shape, validate=False).completion_time()
+    out: dict[str, Fraction] = {}
+    for name in ALGORITHMS:
+        oracle = resolve_oracle("STAR" if name == "DTREE-STAR" else name, m, lam)
+        if oracle.exact:
+            out[name] = oracle.time(n, m, lam)
+        else:
+            out[name] = oracle.schedule(n, m, lam).completion_time()
     return out
 
 

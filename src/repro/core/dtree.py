@@ -56,20 +56,24 @@ class DTreeShape(Enum):
     LATENCY = "latency"  #: d = ceil(lambda) + 1
     STAR = "star"  #: d = n - 1
 
+    def degree(self, n: int, lam: TimeLike) -> int:
+        """The shape's named degree at ``(n, lambda)``, before
+        :func:`resolve_degree` clamps it (Lemma 18's bound reads it as
+        named)."""
+        if self is DTreeShape.LINE:
+            return 1
+        if self is DTreeShape.BINARY:
+            return 2
+        if self is DTreeShape.LATENCY:
+            return math.ceil(as_time(lam)) + 1
+        return n - 1  # STAR
+
 
 def resolve_degree(shape: "DTreeShape | int", n: int, lam: TimeLike) -> int:
     """Translate a :class:`DTreeShape` (or explicit integer) into a degree
     ``d``, clamped to the valid range ``1 .. max(1, n-1)``."""
     if isinstance(shape, DTreeShape):
-        lam_t = as_time(lam)
-        if shape is DTreeShape.LINE:
-            d = 1
-        elif shape is DTreeShape.BINARY:
-            d = 2
-        elif shape is DTreeShape.LATENCY:
-            d = math.ceil(lam_t) + 1
-        else:  # STAR
-            d = n - 1
+        d = shape.degree(n, lam)
     else:
         d = int(shape)
     if n <= 1:

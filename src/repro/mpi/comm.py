@@ -21,13 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Sequence
 
-from repro.algorithms import (
-    BcastProtocol,
-    DTreeProtocol,
-    PackProtocol,
-    PipelineProtocol,
-    RepeatProtocol,
-)
 from repro.collectives.allgather import AllgatherProtocol
 from repro.collectives.allreduce import AllreduceProtocol
 from repro.collectives.alltoall import AllToAllProtocol
@@ -79,18 +72,25 @@ class SimComm:
 
     # ---------------------------------------------------------- broadcast
 
+    def _broadcast(self, algorithm: str, m: int):
+        """The broadcast protocol *algorithm* names, resolved through the
+        family table (:func:`~repro.conformance.oracles.resolve_oracle`)."""
+        from repro.conformance.oracles import resolve_oracle
+
+        oracle = resolve_oracle(algorithm, m, self.lam)
+        if oracle.semantics != "broadcast":
+            raise InvalidParameterError(
+                f"{oracle.family} is a {oracle.semantics} family, not a "
+                "broadcast"
+            )
+        oracle.check_applicable(self.n, m, self.lam)
+        return oracle.protocol(self.n, m, self.lam)
+
     def bcast(self, value: Any, *, algorithm: str = "bcast") -> CollectiveOutcome:
         """Broadcast one value from rank 0 with the optimal Algorithm
-        BCAST (or a named alternative: ``"dtree-<d>"``, ``"star"``)."""
-        algorithm = algorithm.lower()
-        if algorithm == "bcast":
-            proto = BcastProtocol(self.n, self.lam)
-        elif algorithm.startswith("dtree-"):
-            proto = DTreeProtocol(self.n, 1, self.lam, int(algorithm[6:]))
-        elif algorithm == "star":
-            proto = DTreeProtocol(self.n, 1, self.lam, max(1, self.n - 1))
-        else:
-            raise InvalidParameterError(f"unknown broadcast algorithm {algorithm!r}")
+        BCAST (or any other broadcast family, e.g. ``"dtree-<d>"``,
+        ``"star"``)."""
+        proto = self._broadcast(algorithm, 1)
         res = run_protocol(proto)
         return CollectiveOutcome(
             values=[value] * self.n,
@@ -102,24 +102,13 @@ class SimComm:
     def bcast_many(
         self, values: Sequence[Any], *, algorithm: str = "pipeline"
     ) -> CollectiveOutcome:
-        """Broadcast ``m = len(values)`` messages from rank 0 using
-        ``"repeat"``, ``"pack"``, ``"pipeline"``, or ``"dtree-<d>"``."""
+        """Broadcast ``m = len(values)`` messages from rank 0 using a
+        multi-message broadcast family: ``"repeat"``, ``"pack"``,
+        ``"pipeline"``, ``"dtree-<d>"``, ..."""
         m = len(values)
         if m < 1:
             raise InvalidParameterError("need at least one value")
-        algorithm = algorithm.lower()
-        if algorithm == "repeat":
-            proto = RepeatProtocol(self.n, m, self.lam)
-        elif algorithm == "pack":
-            proto = PackProtocol(self.n, m, self.lam)
-        elif algorithm == "pipeline":
-            proto = PipelineProtocol(self.n, m, self.lam)
-        elif algorithm.startswith("dtree-"):
-            proto = DTreeProtocol(self.n, m, self.lam, int(algorithm[6:]))
-        else:
-            raise InvalidParameterError(
-                f"unknown multi-message algorithm {algorithm!r}"
-            )
+        proto = self._broadcast(algorithm, m)
         res = run_protocol(proto)
         return CollectiveOutcome(
             values=[list(values)] * self.n,

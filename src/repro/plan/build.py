@@ -21,6 +21,15 @@ per time unit) and emits one packed integer key per send:
 * one C-speed ``list.sort`` of packed integer keys instead of a
   ``Fraction``-comparing event sort.
 
+The compilers are reached through the family table,
+:data:`repro.conformance.oracles.REGISTRY`: each entry carries its
+compiler (``keys``) and its plan's message-count and send-count rules,
+and :func:`compile_plan`, :func:`compile_schedule`,
+:func:`canonical_family`, :func:`plan_m` and :func:`plan_sends` resolve
+family names through
+:func:`~repro.conformance.oracles.resolve_oracle`.  This module lists
+no families.
+
 Two views decode the keys into the same four columns.
 :func:`compile_plan` stores them as the ``int64`` columns of a
 :class:`~repro.plan.columns.SchedulePlan`, whose tick scale is capped
@@ -45,16 +54,17 @@ integer add per key and the sort.
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
-from repro.core.dtree import DTreeShape, resolve_degree
 from repro.core.fibfunc import IntPrefix, postal_f
-from repro.core.multi import pipeline_variant
 from repro.core.schedule import Schedule
 from repro.errors import InvalidParameterError
 from repro.plan.columns import SchedulePlan, _decode_keys
 from repro.turbo.ticks import TickDomain
 from repro.types import Time, TimeLike, as_time
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.conformance.oracles import Oracle
 
 __all__ = [
     "compile_plan",
@@ -421,39 +431,10 @@ def _compile_gossip(n: int, m: int, lam: Time, scale: int) -> list[int]:
     return keys
 
 
-# ----------------------------------------------------------------- registry
-
-_BUILDER_FAMILIES = (
-    "BCAST",
-    "BINOMIAL",
-    "PACK",
-    "PIPELINE-1",
-    "PIPELINE-2",
-    "REPEAT",
-)
-
-#: Collective family -> (compiler, message-count rule, send-count rule).
-#: The message rule maps ``n`` to the plan's message-index space:
-#: personalized collectives use one index per source/destination,
-#: allgathers one per rumor, and the combine-shaped ones a single
-#: logical message.  The send rule is the plan's length at ``n >= 1``.
-_COLLECTIVE_COMPILERS = {
-    "ALLGATHER": (_compile_allgather, lambda n: max(1, n), lambda n: n * n - 1),
-    "ALLREDUCE": (_compile_combine_bcast, lambda n: 1, lambda n: 2 * (n - 1)),
-    "ALLTOALL": (_compile_alltoall, lambda n: max(1, n - 1), lambda n: n * (n - 1)),
-    "BARRIER": (_compile_combine_bcast, lambda n: 1, lambda n: 2 * (n - 1)),
-    "BRUCK-ALLGATHER": (_compile_bruck, lambda n: max(1, n), lambda n: n * (n - 1)),
-    "GATHER": (_compile_gather, lambda n: max(1, n - 1), lambda n: n - 1),
-    "GOSSIP-RING": (_compile_gossip, lambda n: max(1, n), lambda n: n * (n - 1)),
-    "REDUCE": (_compile_reduce, lambda n: 1, lambda n: n - 1),
-    "SCATTER": (_compile_scatter, lambda n: max(1, n - 1), lambda n: n - 1),
-}
-_DTREE_SHAPES = {
-    "DTREE-LINE": DTreeShape.LINE,
-    "DTREE-BINARY": DTreeShape.BINARY,
-    "DTREE-LATENCY": DTreeShape.LATENCY,
-    "STAR": DTreeShape.STAR,
-}
+# ------------------------------------------------------------ family table
+#
+# The table imports this module's compilers, so the functions below look
+# it up when called.
 
 
 def plan_families() -> tuple[str, ...]:
@@ -466,13 +447,29 @@ def plan_families() -> tuple[str, ...]:
     :func:`collective_plan_families` (their plans audit ports only, not
     broadcast coverage).
     """
-    return tuple(sorted((*_BUILDER_FAMILIES, *_DTREE_SHAPES)))
+    from repro.conformance.oracles import broadcast_families
+
+    return broadcast_families()
 
 
 def collective_plan_families() -> tuple[str, ...]:
     """Canonical collective family names the plan layer can compile,
     sorted — the nine shapes of :mod:`repro.collectives`."""
-    return tuple(sorted(_COLLECTIVE_COMPILERS))
+    from repro.conformance.oracles import collective_families
+
+    return collective_families()
+
+
+def _plan_m(oracle: "Oracle | None", n: int, m: int) -> int:
+    if oracle is None or oracle.messages is None:
+        return m
+    m_eff = oracle.messages(n)
+    if m not in (1, m_eff):
+        raise InvalidParameterError(
+            f"{oracle.family} is a single-message collective; its plan "
+            f"at n={n} carries m={m_eff} message indices (got m={m})"
+        )
+    return m_eff
 
 
 def plan_m(family: str, n: int, m: int) -> int:
@@ -483,7 +480,8 @@ def plan_m(family: str, n: int, m: int) -> int:
     plans use the message index as a data label — destination rank for
     GATHER/SCATTER/ALLTOALL, rumor index for the allgathers and the
     gossip ring, 0 for the combine-shaped ones — so their plans carry a
-    fixed per-``n`` message space regardless of the requested ``m``.
+    fixed per-``n`` message space regardless of the requested ``m``
+    (the entry's ``messages`` rule).
     :meth:`PlanCache.key <repro.plan.cache.PlanCache.key>` canonicalizes
     through this function, so ``build_plan("GATHER", n, 1, lam)`` and the
     plan it stores (``m = n - 1``) share one cache entry.
@@ -492,16 +490,9 @@ def plan_m(family: str, n: int, m: int) -> int:
         InvalidParameterError: *m* is neither 1 nor the family's plan
             message count.
     """
-    entry = _COLLECTIVE_COMPILERS.get(family.upper())
-    if entry is None:
-        return m
-    m_eff = entry[1](n)
-    if m not in (1, m_eff):
-        raise InvalidParameterError(
-            f"{family.upper()} is a single-message collective; its plan "
-            f"at n={n} carries m={m_eff} message indices (got m={m})"
-        )
-    return m_eff
+    from repro.conformance.oracles import REGISTRY
+
+    return _plan_m(REGISTRY.get(family.upper()), n, m)
 
 
 def plan_sends(family: str, n: int, m: int) -> int:
@@ -510,14 +501,16 @@ def plan_sends(family: str, n: int, m: int) -> int:
 
     A broadcast delivers each of its ``m`` messages to each of the
     ``n - 1`` other processors exactly once; a collective's count is its
-    shape's closed form.  ``run_batch`` balances its shards on this.
+    entry's ``sends`` rule.  ``run_batch`` balances its shards on this.
     """
+    from repro.conformance.oracles import REGISTRY
+
     if n < 2:
         return 0
-    entry = _COLLECTIVE_COMPILERS.get(family)
-    if entry is None:
+    oracle = REGISTRY.get(family)
+    if oracle is None or oracle.sends is None:
         return m * (n - 1)
-    return entry[2](n)
+    return oracle.sends(n)
 
 
 def canonical_family(family: str, n: int, m: int, lam: TimeLike) -> str:
@@ -526,40 +519,25 @@ def canonical_family(family: str, n: int, m: int, lam: TimeLike) -> str:
     ``"PIPELINE"`` picks the variant by ``m`` vs ``lambda`` (Lemma 14 vs
     16); named DTREE shapes and ``STAR`` stay symbolic (their canonical
     name is the alias itself, since e.g. DTREE-LATENCY's degree depends
-    on ``lambda``).  Case-insensitive.
+    on ``lambda``); ``DTREE-<d>`` is spelled with its decimal degree.
+    Case-insensitive (:func:`~repro.conformance.oracles.resolve_oracle`).
 
     Raises:
         InvalidParameterError: unknown family.
     """
-    fam = family.upper()
-    if fam == "PIPELINE":
-        return pipeline_variant(m, as_time(lam))
-    if (
-        fam in _BUILDER_FAMILIES
-        or fam in _DTREE_SHAPES
-        or fam in _COLLECTIVE_COMPILERS
-    ):
-        return fam
-    if fam.startswith("DTREE-"):
-        try:
-            int(fam[6:])
-        except ValueError:
-            raise InvalidParameterError(
-                f"unknown DTREE shape {family!r} (named shapes: DTREE-LINE, "
-                "DTREE-BINARY, DTREE-LATENCY, STAR; or DTREE-<d>)"
-            ) from None
-        return fam
-    raise InvalidParameterError(
-        f"unknown family {family!r} (broadcast: "
-        f"{', '.join(plan_families())}, DTREE-<d>; collective: "
-        f"{', '.join(collective_plan_families())})"
-    )
+    from repro.conformance.oracles import resolve_oracle
+
+    return resolve_oracle(family, m, lam).family
 
 
-def _resolve(family: str, n: int, m: int, lam: TimeLike) -> tuple[str, Time]:
-    """Check ``(n, m, lambda)`` against the postal model and canonicalize
-    *family* — the parameter contract :func:`compile_plan` and
-    :func:`compile_schedule` share."""
+def _resolve(
+    family: str, n: int, m: int, lam: TimeLike
+) -> "tuple[Oracle, Time]":
+    """Check ``(n, m, lambda)`` against the postal model and resolve
+    *family* to its table entry — the parameter contract
+    :func:`compile_plan` and :func:`compile_schedule` share."""
+    from repro.conformance.oracles import resolve_oracle
+
     if n < 1:
         raise InvalidParameterError(f"need n >= 1 processors, got {n}")
     if m < 1:
@@ -569,25 +547,7 @@ def _resolve(family: str, n: int, m: int, lam: TimeLike) -> tuple[str, Time]:
         raise InvalidParameterError(
             f"the postal model requires lambda >= 1, got {lam}"
         )
-    return canonical_family(family, n, m, lam), lam
-
-
-def _broadcast_keys(fam: str, n: int, m: int, lam: Time, scale: int) -> list[int]:
-    """The packed keys of broadcast family *fam* (canonical) at *scale*."""
-    if fam == "BCAST":
-        return _compile_bcast(n, m, lam, scale)
-    if fam == "REPEAT":
-        return _compile_repeat(n, m, lam, scale)
-    if fam == "PACK":
-        return _compile_pack(n, m, lam, scale)
-    if fam.startswith("PIPELINE"):
-        return _compile_pipeline(n, m, lam, scale)
-    if fam == "BINOMIAL":
-        return _compile_binomial(n, m, lam, scale)
-    shape = _DTREE_SHAPES.get(fam, None)
-    if shape is None:  # DTREE-<d> with an explicit degree
-        shape = int(fam[6:])
-    return _compile_dtree(n, m, lam, scale, resolve_degree(shape, n, lam))
+    return resolve_oracle(family, m, lam), lam
 
 
 def compile_plan(
@@ -626,23 +586,16 @@ def compile_plan(
         TickDomainError: ``lambda``'s denominator exceeds the supported
             tick scale.
     """
-    fam, lam = _resolve(family, n, m, lam)
+    oracle, lam = _resolve(family, n, m, lam)
     domain = TickDomain.for_values([lam])
-
-    entry = _COLLECTIVE_COMPILERS.get(fam)
-    if entry is not None:
-        compiler = entry[0]
-        m_eff = plan_m(fam, n, m)
-        keys = compiler(n, m_eff, lam, domain.scale)
-        plan = SchedulePlan.from_sorted_keys(fam, n, m_eff, lam, domain, keys)
-        if validate:
-            plan.audit_ports()
-        return plan
-
-    keys = _broadcast_keys(fam, n, m, lam, domain.scale)
-    plan = SchedulePlan.from_sorted_keys(fam, n, m, lam, domain, keys)
+    m = _plan_m(oracle, n, m)
+    keys = oracle.keys(n, m, lam, domain.scale)
+    plan = SchedulePlan.from_sorted_keys(oracle.family, n, m, lam, domain, keys)
     if validate:
-        plan.audit()
+        if oracle.semantics == "broadcast":
+            plan.audit()
+        else:
+            plan.audit_ports()
     return plan
 
 
@@ -677,14 +630,15 @@ def compile_schedule(
         InvalidParameterError: unknown or collective family, or
             parameters outside the family's domain.
     """
-    fam, lam = _resolve(family, n, m, lam)
-    if fam in _COLLECTIVE_COMPILERS:
+    oracle, lam = _resolve(family, n, m, lam)
+    if oracle.semantics != "broadcast":
         raise InvalidParameterError(
-            f"{fam} is a collective; schedules build for the broadcast "
-            f"families only ({', '.join(plan_families())}, DTREE-<d>)"
+            f"{oracle.family} is a collective; schedules build for the "
+            f"broadcast families only ({', '.join(plan_families())}, "
+            "DTREE-<d>)"
         )
     scale = lam.denominator
-    keys = _broadcast_keys(fam, n, m, lam, scale)
+    keys = oracle.keys(n, m, lam, scale)
     columns = _decode_keys(keys, n, m, presorted=False)
     return Schedule.from_columns(
         n, lam, scale, *columns, m=m, validate=validate

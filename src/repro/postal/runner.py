@@ -82,10 +82,12 @@ def _protocol_from_family(
     policy: ContentionPolicy,
     backend: str,
 ):
-    """Build a protocol from a family-name (or ``"auto"``) string."""
-    # local imports: the tuner and the oracle registry both sit above
-    # this module in the import graph
-    from repro.conformance.oracles import get_oracle
+    """Build a protocol from a family-name (or ``"auto"``) string, resolved
+    through the family table
+    (:func:`~repro.conformance.oracles.resolve_oracle`)."""
+    # local imports: the tuner and the family table both sit above this
+    # module in the import graph
+    from repro.conformance.oracles import resolve_oracle
     from repro.tune.model import resolve_family
     from repro.types import as_time
 
@@ -99,7 +101,7 @@ def _protocol_from_family(
         policy=policy.value,
         require_plan=(backend == "replay"),
     )
-    oracle = get_oracle(resolved)
+    oracle = resolve_oracle(resolved, m, lam_t)
     oracle.check_applicable(n, m, lam_t)
     return oracle.protocol(n, m, lam_t)
 
@@ -151,10 +153,10 @@ def run_protocol(
     Args:
         protocol: the distributed program to execute — either a
             :class:`~repro.algorithms.base.Protocol` instance, or a
-            family-name string (``"BCAST"``, ``"auto"``,
-            ``"auto:allgather"``, ...) resolved through the oracle
-            registry and, for auto specs, the :mod:`repro.tune`
-            selector.  String protocols require *n* (and take *m* /
+            family-name string (``"BCAST"``, ``"PIPELINE"``,
+            ``"DTREE-3"``, ``"auto"``, ``"auto:allgather"``, ...)
+            resolved through the family table and, for auto specs, the
+            :mod:`repro.tune` selector.  String protocols require *n* (and take *m* /
             *lam* from the keyword arguments).
         policy: receive-port contention policy.
         validate: audit the run against the postal model.

@@ -38,6 +38,7 @@ from repro.errors import InvalidParameterError
 from repro.plan import PlanCache, build_plan, plan_families
 from repro.plan import cache as plan_cache
 from repro.plan.build import collective_plan_families
+from repro.postal import run_protocol
 
 #: One applicable-by-construction grid point per family (PIPELINE-1
 #: needs ``m <= floor(lam)``, PIPELINE-2 ``m >= ceil(lam)``, the
@@ -205,6 +206,20 @@ def test_jobs_beyond_point_count_is_exact(serial_results):
         got = _by_key(run_batch(POINTS[:3] + POINTS[-3:], jobs=16))
     for key, result in got.items():
         assert result == serial_results[key]
+
+
+@pytest.mark.parametrize("backend", ["exact", "turbo", "replay"])
+def test_run_protocol_takes_the_batch_names(backend):
+    """``run_protocol`` resolves family names as ``run_batch`` does:
+    ``PIPELINE`` picks its Lemma 14/16 variant and ``DTREE-<d>`` names a
+    degree, on every backend."""
+    names = ("PIPELINE", "DTREE-3")
+    batch = run_batch([BatchPoint(name, 10, 3, 2) for name in names])
+    assert [r.completion for r in batch] == ["11", "13"]
+    for name, result in zip(names, batch):
+        run = run_protocol(name, n=10, m=3, lam=2, backend=backend)
+        assert str(run.completion_time) == result.completion
+        assert run.sends == result.sends
 
 
 def test_rejects_unknown_backend():

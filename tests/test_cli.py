@@ -75,12 +75,19 @@ class TestSimulate:
         assert sched.n == 8
 
     def test_all_algorithms(self, capsys):
-        for algo in ("repeat", "pack", "pipeline", "dtree-2", "star"):
+        for algo, name in (
+            ("repeat", "REPEAT"),
+            ("pack", "PACK"),
+            ("pipeline", "PIPELINE"),
+            ("dtree-2", "DTREE"),
+            ("star", "STAR"),
+        ):
             code, out = run_cli(
                 capsys, "simulate", "--n", "6", "--lam", "2", "--m", "2",
                 "--algorithm", algo,
             )
             assert code == 0, algo
+            assert f"algorithm : {name}\n" in out, algo
 
     def test_binomial(self, capsys):
         code, out = run_cli(
@@ -90,8 +97,12 @@ class TestSimulate:
         assert code == 0
 
     def test_unknown_algorithm(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["simulate", "--n", "4", "--lam", "2", "--algorithm", "magic"])
+        code = main(["simulate", "--n", "4", "--lam", "2", "--algorithm", "magic"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: unknown family 'magic'")
+        assert captured.err.count("\n") == 1
 
 
 class TestCompare:
@@ -243,11 +254,32 @@ class TestTrace:
         assert code == 0
         assert "engine    :" in out
 
-    def test_binomial_has_no_closed_form_line(self, capsys):
+    @pytest.mark.parametrize(
+        "algorithm, m, exact",
+        [
+            ("bcast", "1", True),
+            ("repeat", "3", True),
+            ("pack", "3", True),
+            ("pipeline", "3", True),
+            ("star", "3", True),
+            ("binomial", "1", True),
+            ("dtree-line", "3", True),
+            ("dtree-1", "3", True),
+            ("dtree-binary", "3", False),
+            ("dtree-latency", "3", False),
+            ("dtree-3", "3", False),
+        ],
+    )
+    def test_closed_form_line(self, capsys, algorithm, m, exact):
+        """Every exact closed form is checked against the critical path;
+        the Lemma 18 upper bounds print no closed-form line."""
         code, out = run_cli(
-            capsys, "trace", "-n", "8", "--lam", "2",
-            "--algorithm", "binomial",
+            capsys, "trace", "-n", "12", "--lam", "5/2", "-m", m,
+            "--algorithm", algorithm,
         )
         assert code == 0
         assert "critical path:" in out
-        assert "exact formula" not in out
+        if exact:
+            assert "critical path matches the exact formula" in out
+        else:
+            assert "closed form" not in out

@@ -1,7 +1,8 @@
 """CLI error paths exit non-zero with a one-line message, never a
 traceback: unknown backend, off-grid / out-of-model lambda, a bad
-``--jobs`` count, a ``repro tune`` query no family can serve, and a
-``repro gantt --algorithm`` that names no broadcast family.
+``--jobs`` count, a ``repro tune`` query no family can serve, and an
+``--algorithm`` that ``gantt``, ``simulate`` and ``trace`` all refuse
+with the same message (they resolve it through one front door).
 
 Central handling lives in :func:`repro.cli.main`: any
 :class:`~repro.errors.ReproError` escaping a subcommand prints
@@ -102,20 +103,36 @@ class TestInapplicableTuneQuery:
         assert err == "error: need n >= 2 to tune, got n=1\n"
 
 
+#: ``(commands, algorithm, m, message)``: each listed command refuses the
+#: input with the same one-line error (``gantt`` draws broadcast
+#: schedules only, so it alone refuses a collective at ``m = 1``).
+_BAD_ALGORITHMS = [
+    (("gantt", "simulate", "trace"), "dtree-x", "1",
+     "error: unknown family 'dtree-x'"),
+    (("gantt", "simulate", "trace"), "foo", "1",
+     "error: unknown family 'foo'"),
+    (("gantt",), "gather", "1", "error: GATHER is a collective"),
+    (("simulate", "trace"), "gather", "2",
+     "error: GATHER is not applicable at (n=6, m=2, lambda=2)"),
+    (("gantt", "simulate", "trace"), "bcast", "2",
+     "error: BCAST is not applicable at (n=6, m=2, lambda=2)"),
+    (("gantt", "simulate", "trace"), "binomial", "2",
+     "error: BINOMIAL is not applicable at (n=6, m=2, lambda=2)"),
+]
+
+
 class TestGanttAlgorithm:
     @pytest.mark.parametrize(
-        "algorithm, m, message",
+        "command, algorithm, m, message",
         [
-            ("dtree-x", "1", "error: unknown DTREE shape 'dtree-x'"),
-            ("foo", "1", "error: unknown family 'foo'"),
-            ("gather", "1", "error: GATHER is a collective"),
-            ("bcast", "2", "error: BCAST broadcasts a single message"),
-            ("binomial", "2", "error: BINOMIAL broadcasts a single message"),
+            (command, algorithm, m, message)
+            for commands, algorithm, m, message in _BAD_ALGORITHMS
+            for command in commands
         ],
     )
-    def test_bad_algorithm(self, capsys, algorithm, m, message):
+    def test_bad_algorithm(self, capsys, command, algorithm, m, message):
         code, out, err = run_cli_err(
-            capsys, "gantt", "--n", "6", "--lam", "2", "--m", m,
+            capsys, command, "--n", "6", "--lam", "2", "--m", m,
             "--algorithm", algorithm,
         )
         assert code == 2
@@ -128,9 +145,11 @@ class TestGanttAlgorithm:
         [("dtree-line", "10"), ("dtree-latency", "5"), ("DTREE-BINARY", "5")],
     )
     def test_named_dtree_shapes(self, capsys, algorithm, completion):
-        code, out, err = run_cli_err(
-            capsys, "gantt", "--n", "6", "--lam", "2", "--algorithm", algorithm,
-        )
-        assert code == 0
-        assert err == ""
-        assert out.endswith(f"completion: {completion}\n")
+        for command in ("gantt", "simulate", "trace"):
+            code, out, err = run_cli_err(
+                capsys, command, "--n", "6", "--lam", "2",
+                "--algorithm", algorithm,
+            )
+            assert code == 0, command
+            assert err == ""
+            assert f"completion: {completion}\n" in out, command

@@ -23,6 +23,7 @@ latencies (5/2, 7/3 included), plus:
   the protocols, and each subrange size is split once.
 """
 
+import re
 import subprocess
 import sys
 from array import array
@@ -301,6 +302,48 @@ def test_explicit_dtree_degree_matches_named_shape():
     named = compile_plan("DTREE-LATENCY", 10, 2, lam)
     explicit = compile_plan("DTREE-3", 10, 2, lam)
     assert named.to_schedule().events == explicit.to_schedule().events
+
+
+@pytest.mark.parametrize(
+    "spelling",
+    [
+        "DTREE-0",
+        "DTREE--5",
+        "DTREE-+3",
+        "DTREE- 2",
+        "DTREE-1_0",
+        pytest.param("DTREE-" + "9" * 5000, id="DTREE-<5000 digits>"),
+    ],
+)
+def test_dtree_degree_spellings_are_strict(capsys, spelling):
+    """``DTREE-<d>`` takes a positive decimal degree and nothing else, at
+    every front door."""
+    from repro.cli import main
+
+    message = f"unknown family {spelling!r}"
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        compile_plan(spelling, 6, 2, 2)
+    with pytest.raises(InvalidParameterError, match=re.escape(message)):
+        build_plan(spelling, 6, 2, 2, cache=PlanCache(mode="mem"))
+    code = main(["gantt", "--n", "6", "--lam", "2", "--algorithm", spelling])
+    assert code == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_dtree_degree_has_one_name():
+    """``DTREE-03`` is ``DTREE-3``: one plan family, one cache entry."""
+    cache = PlanCache(mode="mem")
+    plan = build_plan("DTREE-3", 10, 2, 2, cache=cache)
+    assert build_plan("dtree-03", 10, 2, 2, cache=cache) is plan
+    assert compile_plan("DTREE-03", 10, 2, 2).family == "DTREE-3"
+    assert canonical_family("DTREE-03", 10, 2, 2) == "DTREE-3"
+    # the integer API keeps resolve_degree's clamp: degree 0 is the line
+    from repro.algorithms import DTreeProtocol
+    from repro.core.dtree import dtree_schedule
+
+    line = compile_plan("DTREE-LINE", 10, 2, 2).to_schedule().events
+    assert dtree_schedule(10, 2, 2, 0).events == line
+    assert DTreeProtocol(10, 2, 2, 0).d == 1
 
 
 def test_unknown_family_raises():
