@@ -1,94 +1,33 @@
 """The perf regression harness behind ``python -m repro bench``.
 
-Measures end-to-end wall time of :func:`repro.postal.runner.run_protocol`
-(``validate=False, collect=False`` — pure engine cost) for a fixed case
-grid on **all three** execution backends (``exact``, ``turbo``, and
-since ``/5`` the vectorized ``replay`` tier) and reports the
-turbo-vs-exact and replay-vs-exact speedups per case.  The broadcast families cover the three structural
-regimes — BCAST (single message, Fibonacci tree fan-out), PIPELINE-2
-(multi-message pipelining, long per-processor send chains),
-DTREE-BINARY (degree-bounded tree, mixed fan-out) — and since ``/3``
-the grid also covers every :mod:`repro.collectives` workload: the
-Theta(n^2)-delivery exchanges (ALLGATHER, BRUCK-ALLGATHER, ALLTOALL,
-GOSSIP-RING) and the tree-shaped combines (REDUCE, ALLREDUCE, BARRIER).
+One table, :data:`SECTIONS`, lists what the harness measures.  An entry
+(:class:`Section`) has a name, which is both its key in the document and
+its ``repro bench --section`` value; a ``run(mode, jobs)`` that returns
+the entry's document section; and a ``report(section)`` that returns the
+lines the CLI prints.  Every section carries a ``gate`` block whose
+``ok`` is the entry's verdict, so a new measurement is one more entry.
 
-Two grids:
+* ``cases`` — the case grid (:func:`bench_grid`) timed on the exact,
+  turbo and replay lanes, with the turbo gate at :data:`GATE_CASE` and
+  the collective gate at :data:`COLLECTIVE_GATE_CASE`;
+* ``plan`` — columnar plan construction against the event-object
+  builder (:func:`bench_plan_layer`);
+* ``replay`` — the replay lane against the exact engine at BCAST
+  ``n =`` :data:`REPLAY_GATE_N` (:func:`bench_replay`);
+* ``resilience`` — fault-injected recovery: determinism, certificates
+  and the loss-0 ceiling, never wall time (:func:`bench_resilience`);
+* ``batch`` — the batch tier's sweep, parallel and kernel gates
+  (:func:`bench_batch`; the only entry that uses ``jobs``);
+* ``tune`` — the autotuner's picks against every fixed family, in exact
+  arithmetic (:func:`bench_tune`).
 
-* ``smoke`` — the CI gate: ``n`` up to ``10^4`` (BCAST and the tree
-  collectives) / ``10^3`` (multi-message) / ``10^2`` (the quadratic
-  exchanges); finishes in well under a minute.
-* ``full``  — the nightly trajectory: broadcast families to
-  ``n = 10^5``, tree collectives to ``10^4``, quadratic exchanges to
-  ``3*10^2``.
-
-Results serialize to the committed ``BENCH_turbo.json`` (schema
-``repro-bench-turbo/6``; see ``docs/performance.md``).  Since ``/2`` the
-document also records the runner (``cpu_count``, ``platform``), the
-``jobs`` the sweep ran with, and a ``plan`` section benchmarking the
-columnar plan layer (:mod:`repro.plan`) against classic event-object
-schedule construction at BCAST ``n = 10^5``; ``/3`` adds the collective
-cases and a second speedup gate; ``/4`` adds the ``resilience`` section
-(:func:`bench_resilience`); ``/5`` adds a ``replay_s`` wall time per
-case, the standalone ``replay`` gate section (:func:`bench_replay`),
-and records ``effective_jobs`` next to the requested ``jobs``; ``/6``
-adds the installed NumPy version (or ``null``) to the header and the
-``bench_batch`` section (:func:`bench_batch`) gating the
-:mod:`repro.batch` tier.  Seven checks gate CI:
-
-* **speedup gate** — turbo must be at least :data:`GATE_MIN_SPEEDUP`
-  times faster than exact for BCAST at ``n = 10^4`` (uniform integer
-  latency), per the acceptance criterion of the turbo lane;
-* **collective gate** — same bar for ALLGATHER at the 10^4-**send**
-  scale, i.e. :data:`COLLECTIVE_GATE_CASE` ``n = 100`` (9,999 sends —
-  the same event count as the BCAST gate).  The gate is deliberately
-  stated in sends, not processors: allgather delivers Theta(n^2)
-  messages, so ``n = 10^4`` *processors* would mean ~10^8 sends and
-  hours of exact-engine wall time per measurement — not a CI gate.
-  What CI must pin is the turbo lane's per-event advantage on the
-  collective code path, which the 10^4-send point measures exactly as
-  the BCAST gate does for broadcast;
-* **replay gate** — the vectorized plan-replay tier
-  (``backend="replay"``) must be at least
-  :data:`REPLAY_GATE_MIN_SPEEDUP` times faster than exact for BCAST at
-  ``n =`` :data:`REPLAY_GATE_N`.  The bar is an order of magnitude
-  above the turbo gates because the tier skips the event loop entirely:
-  a compiled plan replays as a handful of batched column passes, so
-  anything *near* event-loop speed means the vectorization regressed;
-* **batch gate** (``repro bench --batch``) — the :mod:`repro.batch`
-  tier must run the 64-point :func:`batch_grid` (at the ``--jobs``
-  given) at least :data:`BATCH_GATE_MIN_SPEEDUP` times as fast as a
-  per-point loop that builds and replays each plan, both from a cold
-  plan cache; on a host with two or
-  more CPUs a cold-cache sweep at ``jobs=2`` must be at least
-  :data:`BATCH_PARALLEL_GATE_MIN_SPEEDUP` times as fast as at
-  ``jobs=1``; and (NumPy installed) one strict replay at BCAST
-  ``n = 10^5`` must run :data:`BATCH_KERNEL_GATE_MIN_SPEEDUP` faster
-  under the kernels than under the pure-Python passes;
-* **plan gate** — columnar construction must be at least
-  :data:`PLAN_GATE_MIN_SPEEDUP` times faster and hold its events in at
-  least :data:`PLAN_GATE_MIN_MEM_RATIO` times less storage than the
-  event-object builder at BCAST ``n = 10^5``;
-* **resilience gate** — every fault-injected recovery case at
-  ``n =`` :data:`RESILIENCE_GATE_N` must (a) replay bit-identically
-  when run twice with the same seed (trace + metrics digests equal),
-  (b) come back certificate-clean (survivor lower bound, coverage,
-  order preservation, exact fault accounting — see
-  :mod:`repro.resilience.certify`), and (c) in the fault-free case
-  honor the documented ``loss = 0`` ceiling ``f_lambda(n) + depth``.
-  Deliberately *not* a wall-clock gate: fault realizations are exact,
-  so the gate can be sharp where speedup gates must be loose — wall
-  times are recorded informationally per case;
-* **baseline comparison** — optionally, each measured wall time must not
-  exceed the committed baseline's by more than a relative tolerance
-  (default ±30%; wall clocks on shared CI runners are noisy, so the
-  tolerance is deliberately loose and only *slower* is a failure).
-  ``/1`` and ``/2`` baselines remain readable — the per-case layout is
-  unchanged; cases they predate are simply skipped.
-
-The grid itself can run sharded over worker processes (``run_bench(...,
-jobs=N)``, ``repro bench --jobs N``): cases are independent and merge in
-grid order, so the document is identical for any ``jobs`` — only the
-wall clock changes.
+Every lane is timed on the call users make, ``run_protocol`` with its
+default audit and metrics, through one helper (:func:`_best_of`).  The
+case grid runs serially: two workers on a 2-CPU host skew each other's
+timings.  :func:`to_json` writes the document (schema :data:`SCHEMA`)
+with the runner and whether the NumPy kernels ran;
+:func:`compare_to_baseline` diffs its case rows against a committed
+``BENCH_turbo.json``.
 """
 
 from __future__ import annotations
@@ -100,19 +39,20 @@ import platform
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Any, Callable, Sequence
 
-from repro.parallel import effective_jobs, parallel_map, warn_if_oversubscribed
+from repro.errors import InvalidParameterError
+from repro.parallel import effective_jobs
 from repro.types import Time, as_time, time_repr
 
 __all__ = [
+    "BASELINE_TOLERANCE",
     "BATCH_GATE_MIN_SPEEDUP",
     "BATCH_PARALLEL_GATE_MIN_SPEEDUP",
     "BATCH_KERNEL_GATE_N",
     "BATCH_KERNEL_GATE_MIN_SPEEDUP",
     "BenchCase",
     "BenchResult",
-    "BASELINE_SCHEMAS",
     "COLLECTIVE_GATE_CASE",
     "COLLECTIVE_GATE_MIN_SPEEDUP",
     "GATE_CASE",
@@ -125,44 +65,35 @@ __all__ = [
     "RESILIENCE_CASES",
     "RESILIENCE_GATE_N",
     "SCHEMA",
+    "SECTIONS",
+    "Section",
     "TUNE_GATE_POINTS",
     "TUNE_GATE_TOLERANCE",
     "batch_grid",
     "bench_batch",
+    "bench_cases",
     "bench_grid",
     "bench_plan_layer",
     "bench_replay",
     "bench_resilience",
     "bench_tune",
-    "collective_gate_result",
     "compare_to_baseline",
-    "format_results",
-    "gate_result",
+    "load_baseline",
     "profile_case",
-    "run_bench",
+    "profile_spec",
     "run_case",
+    "select_sections",
     "to_json",
 ]
 
-#: Schema tag written into every ``BENCH_turbo.json``.
-SCHEMA = "repro-bench-turbo/7"
+#: Schema tag written into every ``BENCH_turbo.json``; the only schema
+#: :func:`compare_to_baseline` reads.
+SCHEMA = "repro-bench-turbo/8"
 
-#: Schemas :func:`compare_to_baseline` accepts (the per-case layout has
-#: been stable since ``/1``; ``/2`` added runner metadata and the plan
-#: section, ``/3`` the collective cases and gate, ``/4`` the resilience
-#: section, ``/5`` the per-case ``replay_s`` and the replay gate, ``/6``
-#: the ``numpy`` header field and the ``bench_batch`` section, ``/7``
-#: the ``bench_tune`` section — extra top-level keys and case fields
-#: older readers simply ignore).
-BASELINE_SCHEMAS = (
-    "repro-bench-turbo/1",
-    "repro-bench-turbo/2",
-    "repro-bench-turbo/3",
-    "repro-bench-turbo/4",
-    "repro-bench-turbo/5",
-    "repro-bench-turbo/6",
-    "repro-bench-turbo/7",
-)
+#: A case regresses when a lane's fresh wall time exceeds the baseline's
+#: by more than this fraction.  Loose, because shared runners are noisy;
+#: being faster never fails.
+BASELINE_TOLERANCE = 0.30
 
 #: The acceptance gate: ``(family, n)`` that must clear the speedup bar.
 GATE_CASE = ("BCAST", 10_000)
@@ -171,8 +102,10 @@ GATE_CASE = ("BCAST", 10_000)
 GATE_MIN_SPEEDUP = 3.0
 
 #: The collective acceptance gate: allgather at the 10^4-send scale
-#: (``n = 100`` is 9,999 sends — the same event count as the BCAST gate;
-#: see the module docstring for why the gate is stated in sends).
+#: (``n = 100`` is 9,999 sends, the same event count as the BCAST gate).
+#: It is stated in sends, not processors: allgather delivers Theta(n^2)
+#: messages, so ``n = 10^4`` processors would mean ~10^8 sends and hours
+#: of exact-engine time per measurement.
 COLLECTIVE_GATE_CASE = ("ALLGATHER", 100)
 
 #: Minimum turbo-vs-exact speedup at :data:`COLLECTIVE_GATE_CASE`.
@@ -276,6 +209,9 @@ _GRID: "dict[str, tuple[int, Sequence[int], Sequence[int]]]" = {
 #: the common case (tick scale 1, no rescaling advantage for turbo).
 _LAM = as_time(2)
 
+#: The lanes a case runs on, in timing order.
+_BACKENDS = ("exact", "turbo", "replay")
+
 
 @dataclass(frozen=True)
 class BenchCase:
@@ -318,7 +254,88 @@ class BenchResult:
         )
 
 
-def bench_grid(mode: str = "smoke") -> list[BenchCase]:
+@dataclass(frozen=True)
+class Section:
+    """One entry of :data:`SECTIONS`.
+
+    ``run(mode, jobs)`` measures and returns the document section, whose
+    ``["gate"]["ok"]`` is the entry's verdict; ``report(section)``
+    returns the lines ``repro bench`` prints for it.  *mode* is
+    ``"smoke"`` or ``"full"``; *jobs* is the resolved worker count.
+    """
+
+    name: str
+    run: Callable[[str, int], dict]
+    report: Callable[[dict], "list[str]"]
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _ratio(num: float, den: float) -> float:
+    return num / den if den > 0 else float("inf")
+
+
+# ------------------------------------------------------------- timing
+
+
+def _best_of(
+    run: Callable[[Any], Any], setup: Callable[[], Any] = lambda: None
+) -> "tuple[float, Any]":
+    """Best wall time of ``run(setup())`` over a fixed 3 repetitions,
+    and the last repetition's result.
+
+    Only ``run`` is timed; ``setup`` builds what one repetition needs
+    afresh (a protocol, which holds run state; an empty plan cache).
+    A repetition of half a second or more ends the loop — repeating a
+    30 s exact run buys nothing.  One full collection runs before the
+    first repetition, so a collection the previous measurement's garbage
+    set up does not land in this one.
+    """
+    gc.collect()
+    best = float("inf")
+    for _ in range(3):
+        out = None  # free the previous repetition's result before the next
+        arg = setup()
+        t0 = time.perf_counter()
+        out = run(arg)
+        elapsed = time.perf_counter() - t0
+        best = min(best, elapsed)
+        if elapsed >= 0.5:
+            break
+    return best, out
+
+
+def _time_backend(case: BenchCase, backend: str) -> "tuple[float, int]":
+    """Best wall time and send count of the default, audited
+    ``run_protocol(proto, backend=backend)`` call on *case*."""
+    from repro.postal.runner import run_protocol
+
+    best, result = _best_of(
+        lambda proto: run_protocol(proto, backend=backend), case.protocol
+    )
+    return best, result.sends
+
+
+def _cold_s(fn: Callable[[], object]) -> float:
+    """Best wall time of *fn*, each repetition on a fresh, empty
+    process-wide plan cache (the caller's cache is restored after)."""
+    from repro.plan import cache as plan_cache
+
+    saved = plan_cache.default_cache()
+    try:
+        return _best_of(
+            lambda _: fn(), lambda: plan_cache.configure(mode="mem")
+        )[0]
+    finally:
+        plan_cache._DEFAULT = saved
+
+
+# ------------------------------------------------------------- the grid
+
+
+def bench_grid(mode: str = "smoke") -> "list[BenchCase]":
     """The case grid for *mode* (``"smoke"`` or ``"full"``): every
     :data:`_GRID` family at its ``m`` and the mode's sizes."""
     if mode not in ("smoke", "full"):
@@ -331,111 +348,121 @@ def bench_grid(mode: str = "smoke") -> list[BenchCase]:
     ]
 
 
-def _time_backend(case: BenchCase, backend: str) -> tuple[float, int]:
-    """Best-of-3 wall time of one backend on *case*.
-
-    A fresh protocol is built per repetition (protocols are stateful).
-    A repetition of half a second or more ends the loop — repeating a
-    30 s exact run buys nothing.  One full collection runs before the
-    first repetition, so a collection the previous side's garbage set
-    up does not land in this side's timing.
-    """
-    from repro.postal.runner import run_protocol
-
-    gc.collect()
-    best = float("inf")
-    sends = 0
-    for _ in range(3):
-        proto = case.protocol()
-        t0 = time.perf_counter()
-        result = run_protocol(
-            proto, validate=False, collect=False, backend=backend
-        )
-        elapsed = time.perf_counter() - t0
-        sends = result.sends
-        best = min(best, elapsed)
-        if elapsed >= 0.5:
-            break
-    return best, sends
-
-
 def run_case(case: BenchCase) -> BenchResult:
     """Measure *case* on all three backends.
 
     Every grid family has a registered plan compiler, so the replay tier
     runs for each case; its first repetition pays the (cached) plan
-    compile, later repetitions measure pure replay — best-of keeps the
+    compile, later repetitions measure a warm replay — best-of keeps the
     warm number, which is what the tier costs in steady state.
     """
-    exact_s, sends = _time_backend(case, "exact")
-    turbo_s, turbo_sends = _time_backend(case, "turbo")
-    replay_s, replay_sends = _time_backend(case, "replay")
-    if turbo_sends != sends:  # pragma: no cover - equivalence suite's job
+    times = {}
+    sends = {}
+    for backend in _BACKENDS:
+        times[backend], sends[backend] = _time_backend(case, backend)
+    if len(set(sends.values())) != 1:  # pragma: no cover - equivalence suite
         raise AssertionError(
             f"{case.family} n={case.n}: backends disagree on send count "
-            f"(exact {sends}, turbo {turbo_sends})"
+            f"{sends}"
         )
-    if replay_sends != sends:  # pragma: no cover - equivalence suite's job
-        raise AssertionError(
-            f"{case.family} n={case.n}: backends disagree on send count "
-            f"(exact {sends}, replay {replay_sends})"
-        )
-    return BenchResult(case, exact_s, turbo_s, sends, replay_s)
+    return BenchResult(
+        case, times["exact"], times["turbo"], sends["exact"], times["replay"]
+    )
 
 
-def run_bench(
-    mode: str = "smoke",
-    *,
-    progress: Callable[[str], None] | None = None,
-    jobs: int = 1,
-) -> list[BenchResult]:
-    """Run the whole *mode* grid; *progress* gets one line per case.
+def _speedup_gate(
+    results: "Sequence[BenchResult]", case: "tuple[str, int]", bar: float
+) -> dict:
+    """The turbo-vs-exact verdict at *case* (a ``(family, n)`` pair)."""
+    family, n = case
+    for res in results:
+        if (res.case.family, res.case.n) == case:
+            return {
+                "family": family,
+                "n": n,
+                "sends": res.sends,
+                "min_speedup": bar,
+                "speedup": round(res.speedup, 3),
+                "ok": res.speedup >= bar,
+            }
+    raise LookupError(f"bench grid did not include the gate case {case}")
 
-    With ``jobs > 1`` the cases run across worker processes and merge
-    back in grid order — measurements are per-case wall times either
-    way, so the resulting document layout is identical (though parallel
-    timings share cores and are noisier; the committed baseline is
-    recorded serially).
-    """
+
+def bench_cases(mode: str = "smoke") -> dict:
+    """The ``cases`` section: every case of the *mode* grid
+    (:func:`run_case`, serially), the turbo gate at :data:`GATE_CASE`
+    and the collective gate at :data:`COLLECTIVE_GATE_CASE`."""
     from repro.batch.kernels import kernels_enabled
 
-    grid = bench_grid(mode)
-    warn_if_oversubscribed(jobs, what="bench")
-    # import NumPy before any case is timed (and before workers fork), so
-    # no case's first replay pays for the import
+    # import NumPy before any case is timed, so no first replay pays for it
     kernels_enabled()
-    if jobs > 1:
-        if progress is not None:
-            progress(f"  {len(grid)} cases across {jobs} workers ...")
-        return parallel_map(run_case, grid, jobs=jobs, chunksize=1)
-    results = []
-    for case in grid:
-        if progress is not None:
-            progress(
-                f"  {case.family:<14} n={case.n:>7,} m={case.m} "
-                f"lam={time_repr(case.lam)} ..."
-            )
-        results.append(run_case(case))
-    return results
+    return _cases_section([run_case(case) for case in bench_grid(mode)])
+
+
+def _cases_section(results: "Sequence[BenchResult]") -> dict:
+    turbo = _speedup_gate(results, GATE_CASE, GATE_MIN_SPEEDUP)
+    collective = _speedup_gate(
+        results, COLLECTIVE_GATE_CASE, COLLECTIVE_GATE_MIN_SPEEDUP
+    )
+    return {
+        "rows": [
+            {
+                "family": r.case.family,
+                "n": r.case.n,
+                "m": r.case.m,
+                "lam": time_repr(r.case.lam),
+                "sends": r.sends,
+                "exact_s": round(r.exact_s, 6),
+                "turbo_s": round(r.turbo_s, 6),
+                "replay_s": round(r.replay_s, 6),
+                "speedup": round(r.speedup, 3),
+                "replay_speedup": round(r.replay_speedup, 3),
+            }
+            for r in results
+        ],
+        "gate": {
+            "turbo": turbo,
+            "collective": collective,
+            "ok": turbo["ok"] and collective["ok"],
+        },
+    }
+
+
+def _report_cases(section: dict) -> "list[str]":
+    from repro.report.tables import format_table
+
+    table = format_table(
+        ["family", "n", "m", "sends", "exact (s)", "turbo (s)",
+         "replay (s)", "turbo x", "replay x"],
+        [
+            [
+                row["family"],
+                f"{row['n']:,}",
+                str(row["m"]),
+                f"{row['sends']:,}",
+                f"{row['exact_s']:.4f}",
+                f"{row['turbo_s']:.4f}",
+                f"{row['replay_s']:.4f}",
+                f"{row['speedup']:.2f}x",
+                f"{row['replay_speedup']:.2f}x",
+            ]
+            for row in section["rows"]
+        ],
+    )
+    turbo = section["gate"]["turbo"]
+    collective = section["gate"]["collective"]
+    return table.splitlines() + [
+        f"gate: turbo >= {turbo['min_speedup']:.0f}x exact for "
+        f"{turbo['family']} at n={turbo['n']:,} — measured "
+        f"{turbo['speedup']:.2f}x [{_verdict(turbo['ok'])}]",
+        f"collective gate: turbo >= {collective['min_speedup']:.0f}x "
+        f"exact for {collective['family']} at n={collective['n']:,} "
+        f"({collective['sends']:,} sends, the 10^4-send scale) — measured "
+        f"{collective['speedup']:.2f}x [{_verdict(collective['ok'])}]",
+    ]
 
 
 # ------------------------------------------------------------ plan layer
-
-
-def _best_of(fn: Callable[[], object], *, budget_s: float = 0.5, reps: int = 3) -> float:
-    """Minimum wall time of *fn* over up to *reps* calls (stop early once
-    *budget_s* of total measurement is spent)."""
-    best = float("inf")
-    total = 0.0
-    for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        elapsed = time.perf_counter() - t0
-        best = min(best, elapsed)
-        total += elapsed
-        if total >= budget_s:
-            break
-    return best
 
 
 def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
@@ -465,14 +492,14 @@ def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
     lam = as_time(lam)
 
     # -- timing passes (no tracemalloc)
-    events_build_s = _best_of(
-        lambda: bcast_schedule(n, lam, validate=False).events
+    events_build_s, _ = _best_of(
+        lambda _: bcast_schedule(n, lam, validate=False).events
     )
-    plan_build_s = _best_of(lambda: compile_plan("BCAST", n, 1, lam))
+    plan_build_s, _ = _best_of(lambda _: compile_plan("BCAST", n, 1, lam))
     cache = PlanCache(mode="mem")
     build_plan("BCAST", n, 1, lam, cache=cache)  # warm it
-    plan_cached_s = _best_of(
-        lambda: build_plan("BCAST", n, 1, lam, cache=cache), reps=5
+    plan_cached_s, _ = _best_of(
+        lambda _: build_plan("BCAST", n, 1, lam, cache=cache)
     )
 
     # -- memory passes
@@ -487,12 +514,8 @@ def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
     _, plan_peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
-    construction_speedup = (
-        events_build_s / plan_build_s if plan_build_s > 0 else float("inf")
-    )
-    storage_ratio = (
-        events_storage / plan.nbytes if plan.nbytes > 0 else float("inf")
-    )
+    construction_speedup = _ratio(events_build_s, plan_build_s)
+    storage_ratio = _ratio(events_storage, plan.nbytes)
     return {
         "family": "BCAST",
         "n": n,
@@ -519,6 +542,18 @@ def bench_plan_layer(*, n: int = PLAN_GATE_N, lam: Time = _LAM) -> dict:
     }
 
 
+def _report_plan(section: dict) -> "list[str]":
+    gate = section["gate"]
+    return [
+        f"plan gate: columnar build >= "
+        f"{gate['min_construction_speedup']:.0f}x and storage >= "
+        f"{gate['min_storage_ratio']:.0f}x at BCAST n={section['n']:,} — "
+        f"measured {section['construction_speedup']:.2f}x build, "
+        f"{section['storage_ratio']:.2f}x storage, warm cache "
+        f"{section['plan_cached_s'] * 1e6:.0f}us [{_verdict(gate['ok'])}]"
+    ]
+
+
 # ------------------------------------------------------------ replay tier
 
 
@@ -527,19 +562,20 @@ def bench_replay(*, n: int = REPLAY_GATE_N, lam: Time = _LAM) -> dict:
     backends at BCAST size *n* (the ``"replay"`` section of the
     document).
 
-    Three wall times for the same protocol run: the exact engine, the
-    turbo event loop, and ``backend="replay"`` executing the compiled
-    plan as batched column passes.  ``compile_s`` records the one-time
-    plan compilation separately (steady-state replays hit the plan
-    cache, so the per-run numbers are measured warm — same convention
-    as :func:`bench_plan_layer`'s ``plan_cached_s`` row).  The gate is
-    replay-vs-exact at :data:`REPLAY_GATE_MIN_SPEEDUP`.
+    Three wall times of the same default, audited ``run_protocol``
+    call: the exact engine, the turbo event loop, and
+    ``backend="replay"`` executing the compiled plan as batched column
+    passes.  ``compile_s`` records plan compilation separately
+    (steady-state replays hit the plan cache, so the per-run numbers are
+    measured warm — same convention as :func:`bench_plan_layer`'s
+    ``plan_cached_s`` row).  The gate is replay-vs-exact at
+    :data:`REPLAY_GATE_MIN_SPEEDUP`.
     """
     from repro.plan import compile_plan
 
     lam = as_time(lam)
     case = BenchCase("BCAST", n, 1, lam)
-    compile_s = _best_of(lambda: compile_plan("BCAST", n, 1, lam), reps=1)
+    compile_s, _ = _best_of(lambda _: compile_plan("BCAST", n, 1, lam))
     exact_s, sends = _time_backend(case, "exact")
     turbo_s, _ = _time_backend(case, "turbo")
     replay_s, replay_sends = _time_backend(case, "replay")
@@ -548,8 +584,7 @@ def bench_replay(*, n: int = REPLAY_GATE_N, lam: Time = _LAM) -> dict:
             f"BCAST n={n}: backends disagree on send count "
             f"(exact {sends}, replay {replay_sends})"
         )
-    speedup = exact_s / replay_s if replay_s > 0 else float("inf")
-    turbo_ratio = turbo_s / replay_s if replay_s > 0 else float("inf")
+    speedup = _ratio(exact_s, replay_s)
     return {
         "family": "BCAST",
         "n": n,
@@ -561,12 +596,23 @@ def bench_replay(*, n: int = REPLAY_GATE_N, lam: Time = _LAM) -> dict:
         "replay_s": round(replay_s, 6),
         "compile_s": round(compile_s, 6),
         "speedup": round(speedup, 3),
-        "turbo_ratio": round(turbo_ratio, 3),
+        "turbo_ratio": round(_ratio(turbo_s, replay_s), 3),
         "gate": {
             "min_speedup": REPLAY_GATE_MIN_SPEEDUP,
             "ok": speedup >= REPLAY_GATE_MIN_SPEEDUP,
         },
     }
+
+
+def _report_replay(section: dict) -> "list[str]":
+    gate = section["gate"]
+    return [
+        f"replay gate: replay >= {gate['min_speedup']:.0f}x exact for "
+        f"BCAST at n={section['n']:,} — measured "
+        f"{section['speedup']:.2f}x (exact {section['exact_s']:.4f}s, "
+        f"turbo {section['turbo_s']:.4f}s, replay "
+        f"{section['replay_s']:.4f}s) [{_verdict(gate['ok'])}]"
+    ]
 
 
 # ------------------------------------------------------------ batch tier
@@ -606,26 +652,8 @@ def _per_point_sweep(points) -> None:
         system.completion_time, system.send_count
 
 
-def _cold_s(fn: Callable[[], object]) -> float:
-    """Best wall time of *fn*, each call on a fresh, empty process-wide
-    plan cache (restored afterwards)."""
-    from repro.plan import cache as plan_cache
-
-    saved = plan_cache.default_cache()
-
-    def cold():
-        plan_cache.configure(mode="mem")
-        fn()
-
-    try:
-        return _best_of(cold, budget_s=2.0)
-    finally:
-        plan_cache._DEFAULT = saved
-
-
 def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
-    """The ``"bench_batch"`` section (schema ``/6``): three
-    measurements, three gates.
+    """The ``"batch"`` section: three measurements, three gates.
 
     * **sweep gate** — wall time of the 64-point :func:`batch_grid`
       through :func:`repro.batch.run_batch` at *jobs* vs a per-point
@@ -658,7 +686,7 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
     else:
         serial_s = _cold_s(lambda: run_batch(points, jobs=1))
         parallel_s = _cold_s(lambda: run_batch(points, jobs=2))
-        parallel_speedup = serial_s / parallel_s if parallel_s > 0 else float("inf")
+        parallel_speedup = _ratio(serial_s, parallel_s)
         parallel.update(
             serial_s=round(serial_s, 6),
             parallel_s=round(parallel_s, 6),
@@ -668,7 +696,7 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
 
     per_point_s = _cold_s(lambda: _per_point_sweep(points))
     batch_s = _cold_s(lambda: run_batch(points, jobs=jobs))
-    speedup = per_point_s / batch_s if batch_s > 0 else float("inf")
+    speedup = _ratio(per_point_s, batch_s)
     sweep_ok = speedup >= BATCH_GATE_MIN_SPEEDUP
 
     plan = build_plan("BCAST", kernel_n, 1, _LAM)
@@ -682,7 +710,7 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
     saved = os.environ.get("REPRO_NUMPY")
     try:
         os.environ["REPRO_NUMPY"] = "off"
-        python_s = _best_of(lambda: replay_plan(plan), budget_s=1.0, reps=5)
+        python_s, _ = _best_of(lambda _: replay_plan(plan))
     finally:
         if saved is None:
             os.environ.pop("REPRO_NUMPY", None)
@@ -690,8 +718,8 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
             os.environ["REPRO_NUMPY"] = saved
     kernel["python_s"] = round(python_s, 6)
     if kernels_enabled():
-        numpy_s = _best_of(lambda: replay_plan(plan), budget_s=1.0, reps=5)
-        kernel_speedup = python_s / numpy_s if numpy_s > 0 else float("inf")
+        numpy_s, _ = _best_of(lambda _: replay_plan(plan))
+        kernel_speedup = _ratio(python_s, numpy_s)
         kernel["numpy_s"] = round(numpy_s, 6)
         kernel["speedup"] = round(kernel_speedup, 3)
         kernel_ok = kernel_speedup >= BATCH_KERNEL_GATE_MIN_SPEEDUP
@@ -724,102 +752,50 @@ def bench_batch(*, jobs: int = 1, kernel_n: int = BATCH_KERNEL_GATE_N) -> dict:
     }
 
 
-# ------------------------------------------------------------- profiling
-
-
-def profile_case(
-    case: BenchCase, *, backend: str = "turbo", out: "str | None" = None
-) -> str:
-    """Run *case* once under :mod:`cProfile`; return a top-20 cumulative
-    table and (optionally) dump the raw stats for ``snakeviz``/``pstats``.
-
-    Follows the :mod:`repro.obs` exporter conventions: the artifact is
-    written next to the results document under a self-describing name
-    (``repro bench --profile`` passes ``<out>.profile.pstats``), and the
-    human-readable view is returned as text for the caller to print —
-    the function never writes to stdout itself.
-    """
-    import cProfile
-    import io
-    import pstats
-
-    from repro.postal.runner import run_protocol
-
-    proto = case.protocol()
-    profiler = cProfile.Profile()
-    profiler.enable()
-    run_protocol(proto, validate=False, collect=False, backend=backend)
-    profiler.disable()
-    if out is not None:
-        profiler.dump_stats(out)
-    buf = io.StringIO()
-    stats = pstats.Stats(profiler, stream=buf)
-    stats.sort_stats(pstats.SortKey.CUMULATIVE).print_stats(20)
-    header = (
-        f"profile: {case.family} n={case.n:,} m={case.m} "
-        f"lam={time_repr(case.lam)} backend={backend}\n"
-    )
-    return header + buf.getvalue()
-
-
-def bench_tune(points=TUNE_GATE_POINTS) -> dict:
-    """The auto-selection gate: the ``bench_tune`` section.
-
-    For every pinned broadcast point, measure the **exact** completion
-    time of each applicable fixed family on the turbo lane, ask the
-    tuner for its pick, and require the pick to be (a) no slower than
-    the worst fixed family and (b) within :data:`TUNE_GATE_TOLERANCE`
-    of the best.  Everything here is exact rational arithmetic — the
-    gate is deterministic and machine-independent.
-    """
-    from repro.conformance.oracles import REGISTRY
-    from repro.tune import measure, select_protocol
-
-    rows = []
-    all_ok = True
-    for n, m, lam in points:
-        lam_t = as_time(lam)
-        completions = {
-            fam: measure(fam, n, m, lam_t)[0]
-            for fam, oracle in sorted(REGISTRY.items())
-            if oracle.semantics == "broadcast"
-            and oracle.applicable(n, m, lam_t)
-        }
-        auto = select_protocol("broadcast", n, m=m, lam=lam_t)
-        auto_completion = completions[auto]
-        best_family = min(completions, key=lambda f: (completions[f], f))
-        worst_family = max(completions, key=lambda f: (completions[f], f))
-        best = completions[best_family]
-        worst = completions[worst_family]
-        bar = best * (1 + Fraction(TUNE_GATE_TOLERANCE).limit_denominator())
-        ok = auto_completion <= worst and auto_completion <= bar
-        all_ok = all_ok and ok
-        rows.append(
-            {
-                "n": n,
-                "m": m,
-                "lam": time_repr(lam_t),
-                "auto": auto,
-                "auto_completion": time_repr(auto_completion),
-                "best_family": best_family,
-                "best_completion": time_repr(best),
-                "worst_family": worst_family,
-                "worst_completion": time_repr(worst),
-                "families": len(completions),
-                "ok": ok,
-            }
+def _report_batch(section: dict) -> "list[str]":
+    gate = section["gate"]
+    lines = [
+        f"batch gate: run_batch >= {gate['min_speedup']:.1f}x per-point "
+        f"build + replay over {section['points']} points at "
+        f"jobs={section['jobs']}, cold plan cache — measured "
+        f"{section['speedup']:.2f}x (per-point "
+        f"{section['per_point_s']:.4f}s, batch {section['batch_s']:.4f}s) "
+        f"[{_verdict(gate['sweep_ok'])}]"
+    ]
+    par = section["parallel"]
+    if par["skipped"]:
+        lines.append("parallel gate: one CPU — no parallel sweep to time [SKIP]")
+    else:
+        lines.append(
+            f"parallel gate: cold-cache run_batch at jobs=2 >= "
+            f"{par['min_speedup']:.1f}x jobs=1 — measured "
+            f"{par['speedup']:.2f}x (jobs=1 {par['serial_s']:.4f}s, "
+            f"jobs=2 {par['parallel_s']:.4f}s) [{_verdict(par['ok'])}]"
         )
-    return {
-        "points": rows,
-        "gate": {
-            "ok": all_ok,
-            "tolerance": TUNE_GATE_TOLERANCE,
-            "points": len(rows),
-        },
-    }
+    kernel = section["kernel"]
+    if kernel["numpy_s"] is None:
+        why = (
+            "disabled by REPRO_NUMPY"
+            if kernel["numpy"] is not None
+            else "not installed"
+        )
+        lines.append(
+            f"kernel gate: NumPy {why} — pure-Python passes "
+            "are the implementation [SKIP]"
+        )
+    else:
+        lines.append(
+            f"kernel gate: NumPy passes >= "
+            f"{kernel['gate']['min_speedup']:.0f}x pure-Python for BCAST "
+            f"at n={kernel['n']:,} — measured {kernel['speedup']:.2f}x "
+            f"(python {kernel['python_s']:.4f}s, numpy "
+            f"{kernel['numpy_s']:.4f}s, NumPy {kernel['numpy']}) "
+            f"[{_verdict(kernel['gate']['ok'])}]"
+        )
+    return lines
 
 
-# ------------------------------------------------------------- reporting
+# ------------------------------------------------------------- resilience
 
 
 def bench_resilience(
@@ -879,79 +855,138 @@ def bench_resilience(
     }
 
 
-def gate_result(results: Iterable[BenchResult]) -> dict:
-    """The acceptance-gate verdict over *results*.
+def _report_resilience(section: dict) -> "list[str]":
+    gate = section["gate"]
+    return [
+        f"resilience gate: {len(section['cases'])} fault cases at "
+        f"n={section['n']:,} — deterministic="
+        f"{'yes' if gate['deterministic'] else 'NO'}, certified="
+        f"{'yes' if gate['certified'] else 'NO'}, loss-0 ceiling "
+        f"{'held' if gate['within_depth'] else 'BROKEN'} "
+        f"[{_verdict(gate['ok'])}]"
+    ]
 
-    Returns a JSON-ready dict: the gate case, the bar, the measured
-    speedup, and ``ok``.  Raises :class:`LookupError` if the grid did
-    not include the gate case.
+
+# ------------------------------------------------------------- autotuner
+
+
+def bench_tune(points=TUNE_GATE_POINTS) -> dict:
+    """The auto-selection gate: the ``"tune"`` section.
+
+    For every pinned broadcast point, measure the **exact** completion
+    time of each applicable fixed family on the turbo lane, ask the
+    tuner for its pick, and require the pick to be (a) no slower than
+    the worst fixed family and (b) within :data:`TUNE_GATE_TOLERANCE`
+    of the best.  Everything here is exact rational arithmetic — the
+    gate is deterministic and machine-independent.
     """
-    family, n = GATE_CASE
-    for res in results:
-        if res.case.family == family and res.case.n == n:
-            return {
-                "family": family,
+    from repro.conformance.oracles import REGISTRY
+    from repro.tune import measure, select_protocol
+
+    rows = []
+    all_ok = True
+    for n, m, lam in points:
+        lam_t = as_time(lam)
+        completions = {
+            fam: measure(fam, n, m, lam_t)[0]
+            for fam, oracle in sorted(REGISTRY.items())
+            if oracle.semantics == "broadcast"
+            and oracle.applicable(n, m, lam_t)
+        }
+        auto = select_protocol("broadcast", n, m=m, lam=lam_t)
+        auto_completion = completions[auto]
+        best_family = min(completions, key=lambda f: (completions[f], f))
+        worst_family = max(completions, key=lambda f: (completions[f], f))
+        best = completions[best_family]
+        worst = completions[worst_family]
+        bar = best * (1 + Fraction(TUNE_GATE_TOLERANCE).limit_denominator())
+        ok = auto_completion <= worst and auto_completion <= bar
+        all_ok = all_ok and ok
+        rows.append(
+            {
                 "n": n,
-                "min_speedup": GATE_MIN_SPEEDUP,
-                "speedup": round(res.speedup, 3),
-                "ok": res.speedup >= GATE_MIN_SPEEDUP,
+                "m": m,
+                "lam": time_repr(lam_t),
+                "auto": auto,
+                "auto_completion": time_repr(auto_completion),
+                "best_family": best_family,
+                "best_completion": time_repr(best),
+                "worst_family": worst_family,
+                "worst_completion": time_repr(worst),
+                "families": len(completions),
+                "ok": ok,
             }
-    raise LookupError(f"bench grid did not include the gate case {GATE_CASE}")
+        )
+    return {
+        "points": rows,
+        "gate": {
+            "ok": all_ok,
+            "tolerance": TUNE_GATE_TOLERANCE,
+            "points": len(rows),
+        },
+    }
 
 
-def collective_gate_result(results: Iterable[BenchResult]) -> dict:
-    """The collective acceptance-gate verdict over *results* — ALLGATHER
-    at the 10^4-send point (:data:`COLLECTIVE_GATE_CASE`).  Same shape as
-    :func:`gate_result`; raises :class:`LookupError` if the grid did not
-    include the case."""
-    family, n = COLLECTIVE_GATE_CASE
-    for res in results:
-        if res.case.family == family and res.case.n == n:
-            return {
-                "family": family,
-                "n": n,
-                "sends": res.sends,
-                "min_speedup": COLLECTIVE_GATE_MIN_SPEEDUP,
-                "speedup": round(res.speedup, 3),
-                "ok": res.speedup >= COLLECTIVE_GATE_MIN_SPEEDUP,
-            }
-    raise LookupError(
-        f"bench grid did not include the collective gate case "
-        f"{COLLECTIVE_GATE_CASE}"
-    )
+def _report_tune(section: dict) -> "list[str]":
+    gate = section["gate"]
+    return [
+        f"tune gate: auto selection within {gate['tolerance']:.0%} of "
+        f"the best fixed family (and never past the worst) over "
+        f"{gate['points']} pinned points — exact arithmetic "
+        f"[{_verdict(gate['ok'])}]"
+    ] + [
+        f"  FAIL at n={row['n']} m={row['m']} lam={row['lam']}: auto "
+        f"{row['auto']} = {row['auto_completion']} vs best "
+        f"{row['best_family']} = {row['best_completion']}"
+        for row in section["points"]
+        if not row["ok"]
+    ]
 
 
-def to_json(
-    results: Sequence[BenchResult],
-    *,
-    mode: str,
-    jobs: int = 1,
-    plan: "dict | None" = None,
-    resilience: "dict | None" = None,
-    replay: "dict | None" = None,
-    batch: "dict | None" = None,
-    tune: "dict | None" = None,
-) -> str:
-    """Serialize *results* to the ``BENCH_turbo.json`` document.
+# ------------------------------------------------------------- the table
 
-    *plan* is the :func:`bench_plan_layer` section (measured separately
-    because it benchmarks construction, not simulation); *resilience*
-    the :func:`bench_resilience` section (correctness-gated, so its
-    rows never enter the baseline wall-time diff); *replay* the
-    :func:`bench_replay` section carrying the replay gate; *batch* the
-    :func:`bench_batch` section carrying the batch-tier gates; *tune*
-    the :func:`bench_tune` section carrying the (deterministic,
-    exact-arithmetic) auto-selection gate; *jobs*
-    records how the sweep was *requested* — the resolved worker count
-    lands in ``effective_jobs`` (``jobs=0`` means one per CPU, so the
-    two differ exactly when the request was left to the machine).
-    Parallel timings share cores, so a baseline diff across different
-    ``effective_jobs`` values deserves suspicion.  Since ``/6`` the
-    header also records the installed NumPy version (or ``null``) —
-    the replay wall times depend on whether the kernels ran, so a
-    baseline diff should compare like with like.
+#: Every measurement ``repro bench`` knows, in run order.  Sizes are
+#: each function's defaults; tests call the functions with small sizes.
+SECTIONS: "list[Section]" = [
+    Section("cases", lambda mode, jobs: bench_cases(mode), _report_cases),
+    Section("plan", lambda mode, jobs: bench_plan_layer(), _report_plan),
+    Section("replay", lambda mode, jobs: bench_replay(), _report_replay),
+    Section(
+        "resilience", lambda mode, jobs: bench_resilience(), _report_resilience
+    ),
+    Section("batch", lambda mode, jobs: bench_batch(jobs=jobs), _report_batch),
+    Section("tune", lambda mode, jobs: bench_tune(), _report_tune),
+]
+
+
+def select_sections(names: "Sequence[str] | None") -> "list[Section]":
+    """The :data:`SECTIONS` entries *names* selects, in table order
+    (every entry when *names* is empty or ``None``).  An unknown name
+    raises :class:`~repro.errors.InvalidParameterError`."""
+    known = [entry.name for entry in SECTIONS]
+    unknown = [name for name in names or () if name not in known]
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown bench section {unknown[0]!r} (sections: "
+            f"{', '.join(known)})"
+        )
+    return [entry for entry in SECTIONS if not names or entry.name in names]
+
+
+# ------------------------------------------------------------- document
+
+
+def to_json(sections: dict, *, mode: str, jobs: int = 1) -> str:
+    """The ``BENCH_turbo.json`` document: the runner header, then each
+    measured section (a ``{name: section}`` dict) under its name.
+
+    *jobs* records the requested worker count; ``effective_jobs`` the
+    resolved one (``jobs=0`` means one per CPU).  ``numpy`` is the
+    installed NumPy version (or ``null``) and ``kernels`` whether the
+    replay lane ran the NumPy kernels — :func:`compare_to_baseline`
+    diffs replay times only between runs in the same kernel mode.
     """
-    from repro.batch.kernels import numpy_version
+    from repro.batch.kernels import kernels_enabled, numpy_version
 
     doc = {
         "schema": SCHEMA,
@@ -960,116 +995,151 @@ def to_json(
         "platform": platform.platform(),
         "cpu_count": os.cpu_count() or 1,
         "numpy": numpy_version(),
+        "kernels": kernels_enabled(),
         "jobs": jobs,
         "effective_jobs": effective_jobs(jobs),
-        "cases": [
-            {
-                "family": r.case.family,
-                "n": r.case.n,
-                "m": r.case.m,
-                "lam": time_repr(r.case.lam),
-                "sends": r.sends,
-                "exact_s": round(r.exact_s, 6),
-                "turbo_s": round(r.turbo_s, 6),
-                "replay_s": round(r.replay_s, 6),
-                "speedup": round(r.speedup, 3),
-                "replay_speedup": round(r.replay_speedup, 3),
-            }
-            for r in results
-        ],
-        "gate": gate_result(results),
-        "collective_gate": collective_gate_result(results),
+        **sections,
     }
-    if plan is not None:
-        doc["plan"] = plan
-    if resilience is not None:
-        doc["resilience"] = resilience
-    if replay is not None:
-        doc["replay"] = replay
-    if batch is not None:
-        doc["bench_batch"] = batch
-    if tune is not None:
-        doc["bench_tune"] = tune
     return json.dumps(doc, indent=2) + "\n"
 
 
+def load_baseline(path: str) -> dict:
+    """The baseline document at *path*.  An unreadable file or any
+    schema but :data:`SCHEMA` raises
+    :class:`~repro.errors.InvalidParameterError`."""
+    try:
+        with open(path) as fh:
+            baseline = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"cannot read baseline {path}: {exc}"
+        ) from exc
+    _check_schema(baseline)
+    return baseline
+
+
+def _check_schema(baseline: object) -> None:
+    schema = baseline.get("schema") if isinstance(baseline, dict) else None
+    if schema != SCHEMA:
+        raise InvalidParameterError(
+            f"baseline schema {schema!r} is not {SCHEMA!r}; record a new "
+            f"baseline with `repro bench --out`"
+        )
+
+
 def compare_to_baseline(
-    results: Sequence[BenchResult],
-    baseline: dict,
-    *,
-    tolerance: float = 0.30,
-) -> list[str]:
-    """Regressions of *results* against a committed *baseline* document.
+    sections: dict, baseline: dict
+) -> "tuple[list[str], list[str]]":
+    """``(regressions, notes)`` of the measured *sections* against a
+    committed *baseline* document.
 
-    A case regresses when its fresh wall time exceeds the baseline's by
-    more than *tolerance* (relative), on any backend.  Cases missing
-    from the baseline are skipped (the grid may grow); being *faster*
-    is never a failure.  Returns human-readable regression lines.
-
-    Baselines in any of :data:`BASELINE_SCHEMAS` are accepted — ``/1``
-    files predate the runner metadata and plan section but share the
-    per-case layout; pre-``/5`` files have no ``replay_s``, so the
-    replay column is only diffed when the baseline recorded it.
+    A case regresses when a lane's fresh wall time exceeds the
+    baseline's by more than :data:`BASELINE_TOLERANCE`.  The exact and
+    turbo columns never load NumPy and are always diffed; the replay
+    column is diffed only when the baseline's ``kernels`` matches this
+    process's kernel mode, and a note says when it was skipped.  Cases
+    missing from the baseline are skipped (the grid may grow); being
+    faster is never a failure.  A baseline in any schema but
+    :data:`SCHEMA` raises :class:`~repro.errors.InvalidParameterError`.
     """
-    if baseline.get("schema") not in BASELINE_SCHEMAS:
-        raise ValueError(
-            f"baseline schema {baseline.get('schema')!r} not in "
-            f"{BASELINE_SCHEMAS!r}"
+    from repro.batch.kernels import kernels_enabled
+
+    _check_schema(baseline)
+    if "cases" not in sections or "cases" not in baseline:
+        return [], ["this run or the baseline has no cases section; nothing to diff"]
+    lanes = ["exact", "turbo"]
+    notes = []
+    kernels = kernels_enabled()
+    if baseline.get("kernels") == kernels:
+        lanes.append("replay")
+    else:
+        notes.append(
+            f"replay column skipped: the baseline was taken with kernels="
+            f"{baseline.get('kernels')}, this run with kernels={kernels}"
         )
     base = {
         (c["family"], c["n"], c["m"], c["lam"]): c
-        for c in baseline.get("cases", [])
+        for c in baseline["cases"]["rows"]
     }
-    regressions: list[str] = []
-    for r in results:
-        key = (r.case.family, r.case.n, r.case.m, time_repr(r.case.lam))
-        ref = base.get(key)
+    regressions: "list[str]" = []
+    for row in sections["cases"]["rows"]:
+        ref = base.get((row["family"], row["n"], row["m"], row["lam"]))
         if ref is None:
             continue
-        for label, fresh, committed in (
-            ("exact", r.exact_s, ref["exact_s"]),
-            ("turbo", r.turbo_s, ref["turbo_s"]),
-            ("replay", r.replay_s, ref.get("replay_s", 0.0)),
-        ):
-            if committed > 0 and fresh > committed * (1.0 + tolerance):
+        for lane in lanes:
+            fresh, committed = row[f"{lane}_s"], ref[f"{lane}_s"]
+            if committed > 0 and fresh > committed * (1.0 + BASELINE_TOLERANCE):
                 regressions.append(
-                    f"{r.case.family} n={r.case.n} [{label}]: "
+                    f"{row['family']} n={row['n']} [{lane}]: "
                     f"{fresh:.4f}s vs baseline {committed:.4f}s "
                     f"(+{(fresh / committed - 1.0):.0%} > "
-                    f"{tolerance:.0%} tolerance)"
+                    f"{BASELINE_TOLERANCE:.0%} tolerance)"
                 )
-    return regressions
+    return regressions, notes
 
 
-def format_results(results: Sequence[BenchResult]) -> str:
-    """Fixed-width table of the measured grid."""
-    from repro.report.tables import format_table
+# ------------------------------------------------------------- profiling
 
-    rows = [
-        [
-            r.case.family,
-            f"{r.case.n:,}",
-            str(r.case.m),
-            f"{r.sends:,}",
-            f"{r.exact_s:.4f}",
-            f"{r.turbo_s:.4f}",
-            f"{r.replay_s:.4f}",
-            f"{r.speedup:.2f}x",
-            f"{r.replay_speedup:.2f}x",
-        ]
-        for r in results
-    ]
-    return format_table(
-        [
-            "family",
-            "n",
-            "m",
-            "sends",
-            "exact (s)",
-            "turbo (s)",
-            "replay (s)",
-            "turbo x",
-            "replay x",
-        ],
-        rows,
+
+def profile_spec(spec: str) -> "tuple[BenchCase, str]":
+    """The case and backend of a ``--profile FAMILY:N[:BACKEND]`` spec
+    (backend defaults to turbo; ``m`` is the family's grid ``m``, else
+    1).  A malformed spec, an unknown family or backend, or a point
+    outside the family's domain raises
+    :class:`~repro.errors.InvalidParameterError`."""
+    from repro.conformance.oracles import resolve_oracle
+
+    parts = spec.split(":")
+    backend = parts[2] if len(parts) == 3 else "turbo"
+    if len(parts) not in (2, 3) or not parts[1].isdecimal():
+        raise InvalidParameterError(
+            f"--profile expects FAMILY:N[:BACKEND], got {spec!r}"
+        )
+    if backend not in _BACKENDS:
+        raise InvalidParameterError(
+            f"--profile backend must be one of {', '.join(_BACKENDS)}, "
+            f"got {backend!r}"
+        )
+    family, n = parts[0].upper(), int(parts[1])
+    m = _GRID[family][0] if family in _GRID else 1
+    oracle = resolve_oracle(family, m, _LAM)
+    oracle.check_applicable(n, m, _LAM)
+    case = BenchCase(oracle.family, n, m, _LAM)
+    case.protocol()  # refuses a machine size the protocol cannot run
+    return case, backend
+
+
+def profile_case(
+    case: BenchCase, *, backend: str = "turbo", out: "str | None" = None
+) -> str:
+    """Run *case*'s default, audited call once under :mod:`cProfile`;
+    return a top-20 cumulative table and (optionally) dump the raw
+    stats for ``snakeviz``/``pstats``.
+
+    Follows the :mod:`repro.obs` exporter conventions: the artifact is
+    written next to the results document under a self-describing name
+    (``repro bench --profile`` passes ``<out>.profile.pstats``), and the
+    human-readable view is returned as text for the caller to print —
+    the function never writes to stdout itself.
+    """
+    import cProfile
+    import io
+    import pstats
+
+    from repro.postal.runner import run_protocol
+
+    proto = case.protocol()
+    profiler = cProfile.Profile()
+    profiler.enable()
+    run_protocol(proto, backend=backend)
+    profiler.disable()
+    if out is not None:
+        profiler.dump_stats(out)
+    buf = io.StringIO()
+    stats = pstats.Stats(profiler, stream=buf)
+    stats.sort_stats(pstats.SortKey.CUMULATIVE).print_stats(20)
+    header = (
+        f"profile: {case.family} n={case.n:,} m={case.m} "
+        f"lam={time_repr(case.lam)} backend={backend}\n"
     )
+    return header + buf.getvalue()

@@ -31,15 +31,12 @@ Commands:
   ``--deep`` for the nightly one, ``--jobs N`` to shard the sweep over
   worker processes with an identical report); failures are filed as
   self-contained repro artifacts.
-* ``bench``    — the perf regression harness: wall-time the exact and
-  turbo backends over the broadcast grid (BCAST/PIPELINE-2/DTREE-BINARY)
-  plus every collective workload (``--smoke`` for the CI gate, ``--full``
-  for the nightly trajectory, ``--jobs N`` to shard the grid), enforce
-  the >= 3x turbo speedup gates (BCAST at n=10^4 and ALLGATHER at the
-  10^4-send point), the plan-layer construction/memory gate, and the
-  resilience gate (fault-injected recovery: determinism, certificates,
-  loss-0 ceiling), and optionally diff against the committed
-  ``BENCH_turbo.json`` baseline.
+* ``bench``    — the perf regression harness: run the entries of the
+  bench table (``repro.bench.SECTIONS``; ``--section NAME`` picks some,
+  default all) — the case grid on the exact, turbo and replay lanes with
+  the turbo and collective speedup gates, and the plan, replay,
+  resilience, batch and tune gates — and optionally diff the case grid
+  against the committed ``BENCH_turbo.json`` baseline.
 
 All latency/time arguments accept ints, decimals, or ratios (``5/2``).
 """
@@ -61,6 +58,7 @@ from repro.core.bounds import (
 )
 from repro.core.fibfunc import postal_F, postal_f
 from repro.core.serialize import dumps_schedule, tree_to_dict
+from repro.errors import InvalidParameterError, ReproError
 from repro.report.render import render_gantt, render_tree
 from repro.report.tables import format_table
 from repro.types import as_time as _parse_time, time_repr
@@ -73,8 +71,6 @@ def as_time(value):
     literal becomes a one-line ``error:`` exit (via
     :class:`~repro.errors.InvalidParameterError` and :func:`main`'s
     central handler), never a ``Fraction`` traceback."""
-    from repro.errors import InvalidParameterError
-
     try:
         return _parse_time(value)
     except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -107,7 +103,7 @@ def _family(algorithm: str, n: int, m: int, lam):
 def cmd_fib(args: argparse.Namespace) -> int:
     lam = as_time(args.lam)
     if args.t is None and args.n is None:
-        raise SystemExit("fib: provide --t and/or --n")
+        raise InvalidParameterError("fib: provide --t and/or --n")
     if args.t is not None:
         t = as_time(args.t)
         print(f"F_{time_repr(lam)}({time_repr(t)}) = {postal_F(lam, t)}")
@@ -160,7 +156,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                   f"(ratio {float(result.completion_time / lb):.3f})")
     if args.export:
         if result.schedule is None:
-            raise SystemExit(
+            raise InvalidParameterError(
                 f"{proto.name} has {proto.semantics} semantics — no "
                 "broadcast schedule to export (the run is audited via "
                 "ports and deliveries instead)"
@@ -205,7 +201,7 @@ def cmd_bounds(args: argparse.Namespace) -> int:
             f"{f_upper_log(lam, args.n):.4f}"
         )
     if args.t is None and args.n is None:
-        raise SystemExit("bounds: provide --t and/or --n")
+        raise InvalidParameterError("bounds: provide --t and/or --n")
     return 0
 
 
@@ -281,7 +277,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
         return 0
 
     if args.n is None:
-        raise SystemExit("tune: provide --n (or use --sweep / --verify)")
+        raise InvalidParameterError(
+            "tune: provide --n (or use --sweep / --verify)"
+        )
     lam = as_time(args.lam)
     committed = TuningTable.load(args.table) if args.table else None
     entry = (
@@ -325,211 +323,51 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    import json
-
-    from repro.bench import (
-        COLLECTIVE_GATE_MIN_SPEEDUP,
-        GATE_MIN_SPEEDUP,
-        bench_plan_layer,
-        bench_replay,
-        bench_resilience,
-        collective_gate_result,
-        compare_to_baseline,
-        format_results,
-        gate_result,
-        run_bench,
-        to_json,
-    )
+    from repro import bench
     from repro.parallel import effective_jobs
 
     mode = "full" if args.full else "smoke"
     jobs = effective_jobs(args.jobs)
-    suffix = f", {jobs} workers" if jobs > 1 else ""
+    entries = bench.select_sections(args.section)
+    profile = bench.profile_spec(args.profile) if args.profile else None
+    baseline = bench.load_baseline(args.baseline) if args.baseline else None
+
     print(
         f"perf regression harness ({mode}): "
-        f"exact vs turbo vs replay backend{suffix}"
+        f"{', '.join(entry.name for entry in entries)}"
     )
-    results = run_bench(mode, progress=print, jobs=jobs)
-    print()
-    print(format_results(results))
+    measured = {}
+    ok = True
+    for entry in entries:
+        print(f"\n{entry.name} ...", flush=True)
+        section = measured[entry.name] = entry.run(mode, jobs)
+        print("\n".join(entry.report(section)))
+        ok = ok and section["gate"]["ok"]
 
-    gate = gate_result(results)
-    verdict = "PASS" if gate["ok"] else "FAIL"
-    print(
-        f"\ngate: turbo >= {GATE_MIN_SPEEDUP:.0f}x exact for "
-        f"{gate['family']} at n={gate['n']:,} — measured "
-        f"{gate['speedup']:.2f}x [{verdict}]"
-    )
-    cgate = collective_gate_result(results)
-    cverdict = "PASS" if cgate["ok"] else "FAIL"
-    print(
-        f"collective gate: turbo >= {COLLECTIVE_GATE_MIN_SPEEDUP:.0f}x "
-        f"exact for {cgate['family']} at n={cgate['n']:,} "
-        f"({cgate['sends']:,} sends, the 10^4-send scale) — measured "
-        f"{cgate['speedup']:.2f}x [{cverdict}]"
-    )
-
-    ok = gate["ok"] and cgate["ok"]
-    plan = None
-    if args.plan_n > 0:
-        plan = bench_plan_layer(n=args.plan_n)
-        pg = plan["gate"]
-        pv = "PASS" if pg["ok"] else "FAIL"
-        print(
-            f"plan gate: columnar build >= "
-            f"{pg['min_construction_speedup']:.0f}x and storage >= "
-            f"{pg['min_storage_ratio']:.0f}x at BCAST n={plan['n']:,} — "
-            f"measured {plan['construction_speedup']:.2f}x build, "
-            f"{plan['storage_ratio']:.2f}x storage, warm cache "
-            f"{plan['plan_cached_s'] * 1e6:.0f}us [{pv}]"
-        )
-        ok = ok and pg["ok"]
-    resilience = None
-    if args.resilience_n > 0:
-        resilience = bench_resilience(n=args.resilience_n)
-        rg = resilience["gate"]
-        rv = "PASS" if rg["ok"] else "FAIL"
-        print(
-            f"resilience gate: {len(resilience['cases'])} fault cases at "
-            f"n={resilience['n']:,} — deterministic="
-            f"{'yes' if rg['deterministic'] else 'NO'}, certified="
-            f"{'yes' if rg['certified'] else 'NO'}, loss-0 ceiling "
-            f"{'held' if rg['within_depth'] else 'BROKEN'} [{rv}]"
-        )
-        ok = ok and rg["ok"]
-    replay = None
-    if args.replay_n > 0:
-        replay = bench_replay(n=args.replay_n)
-        yg = replay["gate"]
-        yv = "PASS" if yg["ok"] else "FAIL"
-        print(
-            f"replay gate: replay >= {yg['min_speedup']:.0f}x exact for "
-            f"BCAST at n={replay['n']:,} — measured "
-            f"{replay['speedup']:.2f}x (exact {replay['exact_s']:.4f}s, "
-            f"turbo {replay['turbo_s']:.4f}s, replay "
-            f"{replay['replay_s']:.4f}s) [{yv}]"
-        )
-        ok = ok and yg["ok"]
-    batch = None
-    if args.batch:
-        from repro.bench import bench_batch
-
-        batch = bench_batch(jobs=jobs)
-        bg = batch["gate"]
-        bv = "PASS" if bg["sweep_ok"] else "FAIL"
-        print(
-            f"batch gate: run_batch >= {bg['min_speedup']:.1f}x per-point "
-            f"build + replay over {batch['points']} points at jobs={jobs}, "
-            f"cold plan cache — "
-            f"measured {batch['speedup']:.2f}x (per-point "
-            f"{batch['per_point_s']:.4f}s, batch {batch['batch_s']:.4f}s) "
-            f"[{bv}]"
-        )
-        par = batch["parallel"]
-        if par["skipped"]:
-            print("parallel gate: one CPU — no parallel sweep to time [SKIP]")
-        else:
-            pv = "PASS" if par["ok"] else "FAIL"
-            print(
-                f"parallel gate: cold-cache run_batch at jobs=2 >= "
-                f"{par['min_speedup']:.1f}x jobs=1 — measured "
-                f"{par['speedup']:.2f}x (jobs=1 {par['serial_s']:.4f}s, "
-                f"jobs=2 {par['parallel_s']:.4f}s) [{pv}]"
-            )
-        kernel = batch["kernel"]
-        kg = kernel["gate"]
-        if kernel["numpy_s"] is None:
-            why = (
-                "disabled by REPRO_NUMPY"
-                if kernel["numpy"] is not None
-                else "not installed"
-            )
-            print(
-                f"kernel gate: NumPy {why} — pure-Python passes "
-                "are the implementation [SKIP]"
-            )
-        else:
-            kv = "PASS" if kg["ok"] else "FAIL"
-            print(
-                f"kernel gate: NumPy passes >= {kg['min_speedup']:.0f}x "
-                f"pure-Python for BCAST at n={kernel['n']:,} — measured "
-                f"{kernel['speedup']:.2f}x (python {kernel['python_s']:.4f}s, "
-                f"numpy {kernel['numpy_s']:.4f}s, NumPy {kernel['numpy']}) "
-                f"[{kv}]"
-            )
-        ok = ok and bg["ok"]
-    tune = None
-    if args.tune:
-        from repro.bench import bench_tune
-
-        tune = bench_tune()
-        tg = tune["gate"]
-        tv = "PASS" if tg["ok"] else "FAIL"
-        print(
-            f"tune gate: auto selection within {tg['tolerance']:.0%} of "
-            f"the best fixed family (and never past the worst) over "
-            f"{tg['points']} pinned points — exact arithmetic [{tv}]"
-        )
-        for row in tune["points"]:
-            if not row["ok"]:
-                print(
-                    f"  FAIL at n={row['n']} m={row['m']} "
-                    f"lam={row['lam']}: auto {row['auto']} = "
-                    f"{row['auto_completion']} vs best "
-                    f"{row['best_family']} = {row['best_completion']}"
-                )
-        ok = ok and tg["ok"]
-    if args.baseline:
-        with open(args.baseline) as fh:
-            baseline = json.load(fh)
-        regressions = compare_to_baseline(
-            results, baseline, tolerance=args.tolerance
-        )
+    if baseline is not None:
+        regressions, notes = bench.compare_to_baseline(measured, baseline)
+        print()
+        for line in notes:
+            print(line)
+        tolerance = f"tolerance {bench.BASELINE_TOLERANCE:.0%}"
         if regressions:
-            print(f"\nregressions vs {args.baseline} "
-                  f"(tolerance {args.tolerance:.0%}):")
+            print(f"regressions vs {args.baseline} ({tolerance}):")
             for line in regressions:
                 print(f"  {line}")
             ok = False
         else:
-            print(f"\nno regressions vs {args.baseline} "
-                  f"(tolerance {args.tolerance:.0%})")
+            print(f"no regressions vs {args.baseline} ({tolerance})")
 
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(
-                to_json(
-                    results,
-                    mode=mode,
-                    jobs=args.jobs,
-                    plan=plan,
-                    resilience=resilience,
-                    replay=replay,
-                    batch=batch,
-                    tune=tune,
-                )
-            )
+            fh.write(bench.to_json(measured, mode=mode, jobs=args.jobs))
         print(f"\nresults written to {args.out}")
 
-    if args.profile:
-        from repro.bench import BenchCase, profile_case
-        from repro.bench import _GRID, _LAM
-
-        parts = args.profile.split(":")
-        if len(parts) not in (2, 3):
-            print(
-                f"error: --profile expects FAMILY:N[:BACKEND], "
-                f"got {args.profile!r}"
-            )
-            return 2
-        family = parts[0].upper()
-        n = int(parts[1])
-        backend = parts[2] if len(parts) == 3 else "turbo"
-        m = _GRID[family][0] if family in _GRID else 1
-        case = BenchCase(family, n, m, _LAM)
+    if profile is not None:
+        case, backend = profile
         dump = (args.out or "bench") + ".profile.pstats"
         print()
-        print(profile_case(case, backend=backend, out=dump), end="")
+        print(bench.profile_case(case, backend=backend, out=dump), end="")
         print(f"profile stats written to {dump}")
     return 0 if ok else 1
 
@@ -553,7 +391,6 @@ def cmd_reliable(args: argparse.Namespace) -> int:
 
 
 def cmd_resilience(args: argparse.Namespace) -> int:
-    from repro.errors import InvalidParameterError, TickDomainError
     from repro.resilience import degradation_curve, format_curve, run_resilient
     from repro.parallel import effective_jobs
 
@@ -563,7 +400,7 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         try:
             crashed = [int(p) for p in args.crashed.split(",") if p.strip()]
         except ValueError:
-            raise SystemExit(
+            raise InvalidParameterError(
                 f"--crashed wants a comma-separated processor list, "
                 f"got {args.crashed!r}"
             ) from None
@@ -571,22 +408,18 @@ def cmd_resilience(args: argparse.Namespace) -> int:
     if args.curve:
         losses = [float(x) for x in args.losses.split(",")]
         crashes = [float(x) for x in args.crashes.split(",")]
-        jobs = effective_jobs(args.jobs)
-        try:
-            results = degradation_curve(
-                args.n,
-                lam,
-                m=args.m,
-                loss_rates=losses,
-                crash_rates=crashes,
-                jitter=args.jitter,
-                seed=args.seed,
-                detector=args.detector,
-                max_retries=args.max_retries,
-                jobs=jobs,
-            )
-        except (InvalidParameterError, TickDomainError) as exc:
-            raise SystemExit(str(exc)) from None
+        results = degradation_curve(
+            args.n,
+            lam,
+            m=args.m,
+            loss_rates=losses,
+            crash_rates=crashes,
+            jitter=args.jitter,
+            seed=args.seed,
+            detector=args.detector,
+            max_retries=args.max_retries,
+            jobs=effective_jobs(args.jobs),
+        )
         print(
             f"degradation curve: MPS(n={args.n}, lambda={time_repr(lam)}), "
             f"m={args.m}, detector={args.detector}, seed {args.seed}"
@@ -595,22 +428,19 @@ def cmd_resilience(args: argparse.Namespace) -> int:
         print(format_curve(results))
         return 0 if all(r.certified for r in results) else 1
 
-    try:
-        result = run_resilient(
-            args.n,
-            lam,
-            m=args.m,
-            loss=args.loss,
-            crash=args.crash,
-            jitter=args.jitter,
-            crashed=crashed,
-            seed=args.seed,
-            detector=args.detector,
-            rto=args.rto,
-            max_retries=args.max_retries,
-        )
-    except (InvalidParameterError, TickDomainError) as exc:
-        raise SystemExit(str(exc)) from None
+    result = run_resilient(
+        args.n,
+        lam,
+        m=args.m,
+        loss=args.loss,
+        crash=args.crash,
+        jitter=args.jitter,
+        crashed=crashed,
+        seed=args.seed,
+        detector=args.detector,
+        rto=args.rto,
+        max_retries=args.max_retries,
+    )
 
     drops = result.loss_drops + result.crash_drops
     print(f"machine      : MPS(n={args.n}, lambda={time_repr(lam)}), m={args.m}")
@@ -781,12 +611,11 @@ def cmd_conformance(args: argparse.Namespace) -> int:
         overrides["backend"] = args.backend
     if args.batch:
         if args.backend != "replay":
-            print(
-                "error: --batch pre-compiles and shares schedule plans, "
+            raise InvalidParameterError(
+                "--batch pre-compiles and shares schedule plans, "
                 "which only the replay backend executes — add "
                 "--backend replay"
             )
-            return 2
         overrides["batch"] = True
     if overrides:
         opts = replace(opts, **overrides)
@@ -1064,9 +893,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_tune)
 
+    from repro.bench import BASELINE_TOLERANCE, SECTIONS
+
     p = sub.add_parser(
         "bench",
-        help="perf regression harness: exact vs turbo vs replay wall times",
+        help="perf regression harness: timed gates on the default, audited "
+        "calls of the exact, turbo and replay lanes",
     )
     mode = p.add_mutually_exclusive_group()
     mode.add_argument(
@@ -1080,6 +912,13 @@ def build_parser() -> argparse.ArgumentParser:
         help="the nightly grid: every family up to n=10^5",
     )
     p.add_argument(
+        "--section",
+        action="append",
+        metavar="NAME",
+        help="run this entry of the bench table (repeatable; default "
+        f"every entry): {', '.join(entry.name for entry in SECTIONS)}",
+    )
+    p.add_argument(
         "--out",
         metavar="PATH",
         help="write the machine-readable results JSON here "
@@ -1088,62 +927,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--baseline",
         metavar="PATH",
-        help="compare against this committed BENCH_turbo.json; any case "
-        "slower than baseline by more than the tolerance fails the run",
-    )
-    p.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.30,
-        help="relative regression tolerance for --baseline (default 0.30)",
+        help="compare the cases section against this committed "
+        f"BENCH_turbo.json; a lane more than {BASELINE_TOLERANCE * 100:.0f}%% "
+        "slower fails the run",
     )
     p.add_argument(
         "--jobs",
         type=int,
         default=1,
-        help="worker processes for the case grid (0 = one per CPU; "
-        "parallel timings share cores — baselines are recorded serially)",
-    )
-    p.add_argument(
-        "--plan-n",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help="BCAST size for the plan-layer construction bench "
-        "(0 disables the plan section; default 100000)",
-    )
-    p.add_argument(
-        "--resilience-n",
-        type=int,
-        default=1_000,
-        metavar="N",
-        help="machine size for the resilience gate cases — determinism, "
-        "certificates, and the loss-0 ceiling, never wall time "
-        "(0 disables the resilience section; default 1000)",
-    )
-    p.add_argument(
-        "--replay-n",
-        type=int,
-        default=100_000,
-        metavar="N",
-        help="BCAST size for the replay-tier gate section — replay must "
-        "beat exact by the gate factor (0 disables the replay section; "
-        "default 100000)",
-    )
-    p.add_argument(
-        "--batch",
-        action="store_true",
-        help="measure the batch tier (repro.batch): 64-point sweep at "
-        "--jobs vs per-point replay, cold-cache jobs=2 vs jobs=1 (on 2+ "
-        "CPUs), plus the NumPy-kernel gate at BCAST n=10^5 (the "
-        "bench_batch section)",
-    )
-    p.add_argument(
-        "--tune",
-        action="store_true",
-        help="run the auto-selection gate (the bench_tune section): the "
-        "tuner's pick must match the best fixed family within tolerance "
-        "on a pinned grid — exact arithmetic, no wall clocks",
+        help="worker processes for the batch section's run_batch sweep "
+        "(0 = one per CPU; the case grid always runs serially)",
     )
     p.add_argument(
         "--profile",
@@ -1234,8 +1027,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     domains, bad parameter values, inapplicable tuning queries, ...)
     are reported as a one-line ``error:`` message on stderr with exit
     code 2, never as a traceback."""
-    from repro.errors import ReproError
-
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -1,8 +1,8 @@
-"""Unit tests for the bench document sections added in schemas ``/5``
-and ``/6``: the per-case replay column, the replay gate,
-``effective_jobs`` recording, the (warn-once) oversubscription warning,
-the ``--profile`` hook, and the ``/6`` batch tier — the ``bench_batch``
-section, its two gates, and the NumPy version stamped in the header."""
+"""Unit tests for the bench table (:data:`repro.bench.SECTIONS`) and its
+document: the header (``effective_jobs``, the NumPy version and kernel
+mode), the baseline diff, the warn-once oversubscription warning, the
+``--profile`` hook, the replay gate, and the batch tier's section and
+gates."""
 
 import json
 import os
@@ -10,6 +10,7 @@ import os
 import pytest
 
 from repro import bench, parallel
+from repro.batch.kernels import kernels_enabled
 from repro.bench import (
     BATCH_GATE_MIN_SPEEDUP,
     BATCH_KERNEL_GATE_MIN_SPEEDUP,
@@ -18,24 +19,34 @@ from repro.bench import (
     BenchResult,
     REPLAY_GATE_MIN_SPEEDUP,
     SCHEMA,
+    Section,
     batch_grid,
     bench_batch,
     bench_replay,
     compare_to_baseline,
     profile_case,
-    run_bench,
     run_case,
     to_json,
 )
+from repro.errors import InvalidParameterError
 from repro.types import as_time
 
 _LAM = as_time(2)
 
 
-def _fake_results():
-    """A synthetic grid containing both gate cases."""
+def _fake_results(scale=None):
+    """A synthetic grid containing both gate cases; *scale* maps a lane
+    name to a factor applied to that lane's wall time."""
+    scale = scale or {}
+
     def mk(fam, n, ex, tu, sends, rp):
-        return BenchResult(BenchCase(fam, n, 1, _LAM), ex, tu, sends, rp)
+        return BenchResult(
+            BenchCase(fam, n, 1, _LAM),
+            ex * scale.get("exact", 1),
+            tu * scale.get("turbo", 1),
+            sends,
+            rp * scale.get("replay", 1),
+        )
 
     return [
         mk("BCAST", 10_000, 3.0, 0.5, 9_999, 0.05),
@@ -43,83 +54,119 @@ def _fake_results():
     ]
 
 
+def _fake_cases(scale=None):
+    """The ``cases`` section of :func:`_fake_results`."""
+    return bench._cases_section(_fake_results(scale))
+
+
 def test_to_json_records_replay_and_effective_jobs():
-    doc = json.loads(to_json(_fake_results(), mode="smoke", jobs=0))
-    assert doc["schema"] == SCHEMA == "repro-bench-turbo/7"
+    doc = json.loads(to_json({"cases": _fake_cases()}, mode="smoke", jobs=0))
+    assert doc["schema"] == SCHEMA == "repro-bench-turbo/8"
     assert doc["jobs"] == 0
     assert doc["effective_jobs"] == (os.cpu_count() or 1)
-    case = doc["cases"][0]
+    case = doc["cases"]["rows"][0]
     assert case["replay_s"] == 0.05
     assert case["replay_speedup"] == 60.0
     assert case["speedup"] == 6.0
+    gate = doc["cases"]["gate"]
+    assert gate["turbo"]["speedup"] == 6.0
+    assert gate["collective"]["speedup"] == 12.5
+    assert gate["ok"] is True
 
 
 def test_to_json_records_numpy_version():
     from repro.batch.kernels import numpy_version
 
-    doc = json.loads(to_json(_fake_results(), mode="smoke"))
+    doc = json.loads(to_json({"cases": _fake_cases()}, mode="smoke"))
     assert "numpy" in doc
     assert doc["numpy"] == numpy_version()  # installed version or None
+    assert doc["kernels"] is kernels_enabled()
 
 
 def test_to_json_carries_replay_section():
     replay = {"n": 1000, "speedup": 42.0, "gate": {"ok": True}}
-    doc = json.loads(
-        to_json(_fake_results(), mode="smoke", jobs=1, replay=replay)
-    )
+    doc = json.loads(to_json({"replay": replay}, mode="smoke", jobs=1))
     assert doc["replay"]["speedup"] == 42.0
 
 
-def test_run_bench_warns_on_oversubscription(monkeypatch):
-    monkeypatch.setattr(bench, "bench_grid", lambda mode: [])
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+def test_warns_on_oversubscription(monkeypatch):
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(parallel, "_warned_oversubscribed", False)  # re-arm
     with pytest.warns(RuntimeWarning, match="exceeds cpu_count"):
-        run_bench("smoke", jobs=2)
+        parallel.warn_if_oversubscribed(2, what="bench")
 
 
 def test_oversubscription_warning_fires_at_most_once_per_process(
     monkeypatch, recwarn
 ):
-    monkeypatch.setattr(bench, "bench_grid", lambda mode: [])
-    monkeypatch.setattr(bench.os, "cpu_count", lambda: 1)
+    monkeypatch.setattr(parallel.os, "cpu_count", lambda: 1)
     monkeypatch.setattr(parallel, "_warned_oversubscribed", False)  # re-arm
-    run_bench("smoke", jobs=2)
-    run_bench("smoke", jobs=4)  # second sharded call: same process, silent
+    assert parallel.warn_if_oversubscribed(2, what="bench") is True
+    # second sharded call: same process, silent
+    assert parallel.warn_if_oversubscribed(4, what="bench") is False
     assert (
         len([w for w in recwarn if w.category is RuntimeWarning]) == 1
     )
 
 
-def test_run_bench_serial_does_not_warn(monkeypatch, recwarn):
-    monkeypatch.setattr(bench, "bench_grid", lambda mode: [])
+def test_serial_jobs_do_not_warn(monkeypatch, recwarn):
     monkeypatch.setattr(parallel, "_warned_oversubscribed", False)  # re-arm
-    run_bench("smoke", jobs=1)
+    assert parallel.warn_if_oversubscribed(1, what="bench") is False
     assert not [w for w in recwarn if w.category is RuntimeWarning]
 
 
+def _baseline(**header):
+    doc = json.loads(to_json({"cases": _fake_cases()}, mode="smoke"))
+    doc.update(header)
+    return doc
+
+
 def test_compare_to_baseline_flags_replay_regression():
-    results = _fake_results()
-    base = json.loads(to_json(results, mode="smoke"))
-    slow = [
-        BenchResult(r.case, r.exact_s, r.turbo_s, r.sends, r.replay_s * 2)
-        for r in results
-    ]
-    lines = compare_to_baseline(slow, base, tolerance=0.30)
-    assert lines and all("[replay]" in line for line in lines)
+    regressions, notes = compare_to_baseline(
+        {"cases": _fake_cases({"replay": 2})}, _baseline()
+    )
+    assert notes == []
+    assert len(regressions) == 2
+    assert all("[replay]" in line for line in regressions)
 
 
-def test_compare_to_baseline_skips_pre5_baseline_without_replay():
-    results = _fake_results()
-    base = json.loads(to_json(results, mode="smoke"))
-    base["schema"] = "repro-bench-turbo/4"
-    for case in base["cases"]:
-        del case["replay_s"], case["replay_speedup"]
-    slow = [
-        BenchResult(r.case, r.exact_s, r.turbo_s, r.sends, r.replay_s * 10)
-        for r in results
-    ]
-    assert compare_to_baseline(slow, base, tolerance=0.30) == []
+@pytest.mark.parametrize("lane", ["exact", "turbo"])
+def test_compare_to_baseline_flags_a_slower_column(lane):
+    regressions, _ = compare_to_baseline(
+        {"cases": _fake_cases({lane: 2})}, _baseline()
+    )
+    assert len(regressions) == 2
+    assert all(f"[{lane}]" in line and "+100%" in line for line in regressions)
+    # within the tolerance is no regression, and faster never is
+    for factor in (1.25, 0.5):
+        assert compare_to_baseline(
+            {"cases": _fake_cases({lane: factor})}, _baseline()
+        ) == ([], [])
+
+
+def test_compare_to_baseline_skips_replay_from_the_other_kernel_mode():
+    other = _baseline(kernels=not kernels_enabled())
+    regressions, notes = compare_to_baseline(
+        {"cases": _fake_cases({"replay": 10})}, other
+    )
+    assert regressions == []
+    assert len(notes) == 1 and notes[0].startswith("replay column skipped")
+    # the exact and turbo columns are still diffed
+    regressions, _ = compare_to_baseline(
+        {"cases": _fake_cases({"exact": 2, "replay": 10})}, other
+    )
+    assert len(regressions) == 2
+    assert all("[exact]" in line for line in regressions)
+
+
+def test_compare_to_baseline_refuses_other_schemas(tmp_path):
+    old = _baseline(schema="repro-bench-turbo/7")
+    with pytest.raises(InvalidParameterError, match="repro-bench-turbo/7"):
+        compare_to_baseline({"cases": _fake_cases()}, old)
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(old))
+    with pytest.raises(InvalidParameterError, match="is not"):
+        bench.load_baseline(str(path))
 
 
 def test_run_case_measures_all_three_backends():
@@ -209,7 +256,7 @@ def test_parallel_gate_is_skipped_on_one_cpu(monkeypatch):
     )
     monkeypatch.setattr(bench, "_per_point_sweep", lambda points: None)
     monkeypatch.setattr(bench, "_cold_s", lambda fn: fn() or 1.0)
-    monkeypatch.setattr(bench, "_best_of", lambda fn, **kwargs: 1.0)
+    monkeypatch.setattr(bench, "_best_of", lambda run, setup=None: (1.0, None))
     section = bench_batch(kernel_n=64)
     assert timed == [1]  # the sweep gate's batch side only: no jobs=2 sweep
     assert section["parallel"]["skipped"] is True
@@ -258,8 +305,8 @@ def test_bench_cli_forwards_jobs_to_the_batch_section(monkeypatch, capsys):
     def fake_batch(**kwargs):
         seen.update(kwargs)
         return {
-            "points": 64, "speedup": 9.0, "per_point_s": 0.9,
-            "batch_s": 0.1,
+            "points": 64, "jobs": kwargs["jobs"], "speedup": 9.0,
+            "per_point_s": 0.9, "batch_s": 0.1,
             "parallel": {"skipped": False, "ok": True, "speedup": 1.8,
                          "min_speedup": 1.0, "serial_s": 0.6,
                          "parallel_s": 0.33},
@@ -267,13 +314,9 @@ def test_bench_cli_forwards_jobs_to_the_batch_section(monkeypatch, capsys):
             "gate": {"min_speedup": 3.0, "sweep_ok": True, "ok": True},
         }
 
-    monkeypatch.setattr(bench, "run_bench", lambda *a, **k: _fake_results())
     monkeypatch.setattr(bench, "bench_batch", fake_batch)
     monkeypatch.setattr(parallel, "_warned_oversubscribed", True)
-    code = main([
-        "bench", "--smoke", "--batch", "--plan-n", "0",
-        "--resilience-n", "0", "--replay-n", "0", "--jobs", "2",
-    ])
+    code = main(["bench", "--smoke", "--section", "batch", "--jobs", "2"])
     out = capsys.readouterr().out
     assert seen == {"jobs": 2}
     assert "at jobs=2" in out
@@ -283,12 +326,39 @@ def test_bench_cli_forwards_jobs_to_the_batch_section(monkeypatch, capsys):
 
 def test_to_json_carries_batch_section():
     batch = {"points": 64, "speedup": 9.0, "gate": {"ok": True}}
-    doc = json.loads(
-        to_json(_fake_results(), mode="smoke", jobs=1, batch=batch)
-    )
-    assert doc["bench_batch"]["speedup"] == 9.0
+    doc = json.loads(to_json({"batch": batch}, mode="smoke", jobs=1))
+    assert doc["batch"]["speedup"] == 9.0
 
 
 def test_to_json_omits_batch_section_when_not_measured():
-    doc = json.loads(to_json(_fake_results(), mode="smoke"))
-    assert "bench_batch" not in doc
+    doc = json.loads(to_json({"cases": _fake_cases()}, mode="smoke"))
+    assert "batch" not in doc
+
+
+def test_a_new_section_is_one_table_entry(monkeypatch, capsys, tmp_path):
+    from repro.cli import main
+
+    calls = []
+
+    def run(mode, jobs):
+        calls.append((mode, jobs))
+        return {"reading": 1.5, "gate": {"ok": False}}
+
+    fake = Section("fake", run, lambda section: [
+        f"fake gate: read {section['reading']} [FAIL]"
+    ])
+    monkeypatch.setattr(bench, "SECTIONS", [*bench.SECTIONS, fake])
+    out_json = tmp_path / "bench.json"
+    code = main([
+        "bench", "--full", "--section", "fake", "--jobs", "0",
+        "--out", str(out_json),
+    ])
+    out = capsys.readouterr().out
+    assert calls == [("full", os.cpu_count() or 1)]
+    assert code == 1  # the entry's failing gate fails the run
+    assert "fake gate: read 1.5 [FAIL]" in out
+    doc = json.loads(out_json.read_text())
+    assert doc["fake"] == {"reading": 1.5, "gate": {"ok": False}}
+    assert [key for key in doc if key in {e.name for e in bench.SECTIONS}] == [
+        "fake"
+    ]

@@ -21,8 +21,10 @@ class TestFib:
         assert "f_2.5(14) = 7.5" in out
 
     def test_requires_t_or_n(self, capsys):
-        with pytest.raises(SystemExit):
-            main(["fib", "--lam", "2"])
+        assert main(["fib", "--lam", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: fib: provide --t and/or --n\n"
 
 
 class TestTree:
@@ -123,9 +125,11 @@ class TestBounds:
         assert code == 0
         assert "Theorem 7(1)" in out and "Theorem 7(2)" in out
 
-    def test_requires_t_or_n(self):
-        with pytest.raises(SystemExit):
-            main(["bounds", "--lam", "2"])
+    def test_requires_t_or_n(self, capsys):
+        assert main(["bounds", "--lam", "2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: bounds: provide --t and/or --n\n"
 
 
 class TestCollectives:

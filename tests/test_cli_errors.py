@@ -1,6 +1,7 @@
 """CLI error paths exit non-zero with a one-line message, never a
 traceback: unknown backend, off-grid / out-of-model lambda, a bad
-``--jobs`` count, a ``repro tune`` query no family can serve, and an
+``--jobs`` count, bad ``repro bench`` arguments (refused before anything
+is timed), a ``repro tune`` query no family can serve, and an
 ``--algorithm`` that ``gantt``, ``simulate`` and ``trace`` all refuse
 with the same message (they resolve it through one front door).
 
@@ -59,7 +60,6 @@ class TestBadJobs:
     def test_negative_jobs(self, capsys):
         code, _, err = run_cli_err(
             capsys, "bench", "--smoke", "--jobs", "-3",
-            "--plan-n", "0", "--resilience-n", "0", "--replay-n", "0",
         )
         assert code == 2
         assert err == "error: need jobs >= 0, got -3\n"
@@ -70,6 +70,74 @@ class TestBadJobs:
         )
         assert code == 2
         assert err == "error: need jobs >= 0, got -1\n"
+
+
+class TestBenchArguments:
+    """Every ``repro bench`` argument is checked before any section runs:
+    bad input exits 2 with one ``error:`` line and prints nothing."""
+
+    @pytest.fixture(autouse=True)
+    def _untimed(self, monkeypatch):
+        from repro import bench
+
+        def run(mode, jobs):
+            raise AssertionError("a section ran before the arguments were checked")
+
+        monkeypatch.setattr(
+            bench, "SECTIONS", [bench.Section("cases", run, lambda s: [])]
+        )
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--profile", "BCAST:abc"),
+             "error: --profile expects FAMILY:N[:BACKEND], got 'BCAST:abc'\n"),
+            (("--profile", "BCAST"),
+             "error: --profile expects FAMILY:N[:BACKEND], got 'BCAST'\n"),
+            (("--profile", "BCAST:10:warp"),
+             "error: --profile backend must be one of exact, turbo, replay, "
+             "got 'warp'\n"),
+            (("--profile", "nosuch:10"), "error: unknown family 'NOSUCH'"),
+            (("--profile", "dtree-latency:2"),
+             "error: DTREE-LATENCY is not applicable at (n=2, m=1, "
+             "lambda=2)\n"),
+            (("--profile", "bcast:0"),
+             "error: need n >= 1 processors, got 0\n"),
+            (("--section", "nope"),
+             "error: unknown bench section 'nope' (sections: cases)\n"),
+            (("--baseline", "no/such/baseline.json"),
+             "error: cannot read baseline no/such/baseline.json"),
+            (("--jobs", "-1", "--profile", "BCAST:abc"),
+             "error: need jobs >= 0, got -1\n"),
+        ],
+        ids=["bad-size", "no-size", "bad-backend", "unknown-family",
+             "out-of-domain", "no-processors", "unknown-section",
+             "missing-baseline", "jobs-first"],
+    )
+    def test_refused_before_timing(self, capsys, argv, message):
+        code, out, err = run_cli_err(capsys, "bench", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+
+
+class TestUsageErrors:
+    """Usage errors a subcommand finds itself follow ``main``'s contract
+    too: exit 2 and one ``error:`` line on stderr."""
+
+    def test_export_needs_a_broadcast_schedule(self, capsys, tmp_path):
+        path = tmp_path / "out.json"
+        code, _, err = run_cli_err(
+            capsys, "simulate", "--algorithm", "gather", "--n", "6",
+            "--lam", "2", "--export", str(path),
+        )
+        assert code == 2
+        assert err.startswith(
+            "error: GATHER has gather semantics — no broadcast schedule"
+        )
+        assert err.count("\n") == 1
+        assert not path.exists()
 
 
 class TestInapplicableTuneQuery:

@@ -284,7 +284,11 @@ class TestBatchPlanDistribution:
 
         rc = main(["conformance", "--batch", "--iterations", "4"])
         assert rc == 2
-        assert "--backend replay" in capsys.readouterr().out
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --batch pre-compiles")
+        assert captured.err.count("\n") == 1
+        assert "--backend replay" in captured.err
 
     def test_cli_batch_smoke(self, capsys):
         from repro.cli import main

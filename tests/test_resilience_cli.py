@@ -12,35 +12,39 @@ from .test_cli import run_cli
 pytestmark = pytest.mark.resilience
 
 
+def refused(capsys, fragment, *argv):
+    """*argv* exits 2 with one ``error:`` line containing *fragment*."""
+    code = main(["resilience", "--n", "10", "--lam", "2", *argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert fragment in captured.err
+
+
 class TestErrorPaths:
     def test_loss_out_of_range(self, capsys):
-        with pytest.raises(SystemExit, match="loss"):
-            main(["resilience", "--n", "10", "--lam", "2", "--loss", "1.5"])
+        refused(capsys, "loss", "--loss", "1.5")
 
     def test_negative_loss(self, capsys):
-        with pytest.raises(SystemExit, match="loss"):
-            main(["resilience", "--n", "10", "--lam", "2", "--loss", "-0.1"])
+        refused(capsys, "loss", "--loss", "-0.1")
 
     def test_crash_rate_out_of_range(self, capsys):
-        with pytest.raises(SystemExit, match="crash"):
-            main(["resilience", "--n", "10", "--lam", "2", "--crash", "1.0"])
+        refused(capsys, "crash", "--crash", "1.0")
 
     def test_crashing_processor_zero(self, capsys):
-        with pytest.raises(SystemExit, match="root"):
-            main(["resilience", "--n", "10", "--lam", "2", "--crashed", "0"])
+        refused(capsys, "root", "--crashed", "0")
 
     def test_crashed_out_of_range(self, capsys):
-        with pytest.raises(SystemExit, match="outside"):
-            main(["resilience", "--n", "10", "--lam", "2", "--crashed", "10"])
+        refused(capsys, "outside", "--crashed", "10")
 
     def test_crashed_not_an_int(self, capsys):
-        with pytest.raises(SystemExit, match="crashed"):
-            main(["resilience", "--n", "10", "--lam", "2", "--crashed", "2,x"])
+        refused(capsys, "--crashed wants a comma-separated", "--crashed", "2,x")
 
     def test_off_grid_jitter(self, capsys):
         # lambda=2 puts the tick grid at whole units; 1/3 is off-grid
-        with pytest.raises(SystemExit, match="tick"):
-            main(["resilience", "--n", "10", "--lam", "2", "--jitter", "1/3"])
+        refused(capsys, "tick", "--jitter", "1/3")
 
     def test_on_grid_jitter_accepted(self, capsys):
         # lambda=5/2 runs at tick scale 2, so 1/2 is representable
@@ -59,8 +63,10 @@ class TestErrorPaths:
             )
 
     def test_rto_must_exceed_lambda(self, capsys):
-        with pytest.raises(SystemExit, match="rto"):
-            main(["resilience", "--n", "10", "--lam", "2", "--rto", "2"])
+        refused(capsys, "rto", "--rto", "2")
+
+    def test_curve_refuses_bad_rates(self, capsys):
+        refused(capsys, "loss", "--curve", "--losses", "0,1.5")
 
 
 class TestGoldenCurveTable:
@@ -140,27 +146,28 @@ class TestBenchIntegration:
     def test_bench_smoke_reports_resilience_gate(self, capsys, tmp_path):
         out_json = tmp_path / "bench.json"
         code, out = run_cli(
-            capsys, "bench", "--smoke", "--plan-n", "0",
-            "--resilience-n", "60", "--replay-n", "0",
+            capsys, "bench", "--smoke", "--section", "resilience",
             "--out", str(out_json),
         )
         assert code == 0
-        assert "resilience gate: 3 fault cases at n=60" in out
+        assert "resilience gate: 3 fault cases at n=1,000" in out
         assert "deterministic=yes, certified=yes" in out
         assert "[PASS]" in out
         doc = json.loads(out_json.read_text())
-        assert doc["schema"] == "repro-bench-turbo/7"
+        assert doc["schema"] == "repro-bench-turbo/8"
         assert doc["resilience"]["gate"]["ok"] is True
         assert len(doc["resilience"]["cases"]) == 3
+        assert "cases" not in doc
 
     def test_bench_resilience_disabled(self, capsys, tmp_path):
+        # the one tier-1 run of the smoke grid and its two speedup gates
         out_json = tmp_path / "bench.json"
         code, out = run_cli(
-            capsys, "bench", "--smoke", "--plan-n", "0",
-            "--resilience-n", "0", "--replay-n", "0",
+            capsys, "bench", "--smoke", "--section", "cases",
             "--out", str(out_json),
         )
         assert code == 0
         assert "resilience gate" not in out
         doc = json.loads(out_json.read_text())
-        assert "resilience" not in doc
+        assert doc["cases"]["gate"]["ok"] is True
+        assert {"plan", "replay", "resilience", "batch", "tune"}.isdisjoint(doc)

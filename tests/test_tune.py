@@ -381,19 +381,15 @@ class TestBenchTune:
             )
 
     def test_to_json_carries_tune_section(self):
-        from tests.test_bench_sections import _fake_results
-
         tune = {"points": [], "gate": {"ok": True, "points": 0}}
-        doc = json.loads(
-            to_json(_fake_results(), mode="smoke", jobs=1, tune=tune)
-        )
-        assert doc["bench_tune"]["gate"]["ok"] is True
+        doc = json.loads(to_json({"tune": tune}, mode="smoke", jobs=1))
+        assert doc["tune"]["gate"]["ok"] is True
 
     def test_to_json_omits_tune_when_not_measured(self):
-        from tests.test_bench_sections import _fake_results
+        from tests.test_bench_sections import _fake_cases
 
-        doc = json.loads(to_json(_fake_results(), mode="smoke"))
-        assert "bench_tune" not in doc
+        doc = json.loads(to_json({"cases": _fake_cases()}, mode="smoke"))
+        assert "tune" not in doc
 
 
 class TestTuneCLI:
@@ -422,8 +418,10 @@ class TestTuneCLI:
         assert "selected: BCAST" in out
 
     def test_query_requires_n(self, capsys):
-        with pytest.raises(SystemExit, match="--n"):
-            self._run(capsys, "tune", "--workload", "broadcast")
+        code, out, err = self._run(capsys, "tune", "--workload", "broadcast")
+        assert code == 2
+        assert out == ""
+        assert err == "error: tune: provide --n (or use --sweep / --verify)\n"
 
     def test_verify_committed_table_passes(self, capsys):
         code, out, _ = self._run(
