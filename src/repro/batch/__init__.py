@@ -6,10 +6,11 @@ trajectories, degradation curves) evaluate *many* parameter points,
 each a deterministic plan replay.  This package makes the sweep itself
 the unit of execution:
 
-* :mod:`repro.batch.kernels` — the three replay passes and the plan
-  key decode as optional NumPy kernels over zero-copy views of the plan
-  columns, with the pure-Python passes as a byte-identical fallback
-  (``REPRO_NUMPY=off`` forces it);
+* :mod:`repro.batch.kernels` — the three replay passes, the plan key
+  decode, and the replay lane's audit accept test and metric counts as
+  optional NumPy kernels over zero-copy views of the columns, with the
+  pure-Python code as the byte-identical fallback (``REPRO_NUMPY=off``
+  forces it);
 * :mod:`repro.batch.runner` — :func:`run_batch`: group the points by
   plan key, deal whole groups to worker shards that compile each plan
   once in their own process and replay its points, and put the results

@@ -1,4 +1,5 @@
-"""Optional NumPy kernels: the three replay passes and the plan decode.
+"""Optional NumPy kernels: the three replay passes, the plan decode,
+and the replay lane's audit accept test and metric counts.
 
 :func:`repro.turbo.replay.replay_plan` executes a compiled
 :class:`~repro.plan.columns.SchedulePlan` as three batched column
@@ -49,6 +50,23 @@ unavailable or disabled, or when a key does not fit int64 (a key grows
 like ``tick * n^2 * m``, so it can pass ``2^63`` while every tick still
 fits); the caller then runs the pure-Python decode, which yields the
 same columns (``tests/test_plan_roundtrip.py`` pins them equal).
+
+Two more kernels sit behind the passes, on the realized columns of a
+run.  :func:`audit_accepts` is the accept test of the postal audit
+(:func:`~repro.plan.columns.audit_columns`) as whole-column arithmetic:
+ranges and self-sends; nonnegative, nondecreasing starts; each arrival
+against its due tick; possession, single delivery and coverage (a
+``bincount`` of the ``receiver * m + msg`` slots, then a gather of each
+sender's holding tick); and the one-unit port gaps, as differences
+after a stable argsort by port.  It returns each message's arrival
+ticks for the paper's certificates when every check passes, and
+declines (``None``) otherwise: on any rejection, a column that is not
+``array('q')``, or too little int64 headroom.  The sweep then runs and
+raises its own error, so it stays the one reference and the one error
+reporter (``tests/test_audit_kernel.py`` pins the two accept sets
+equal).  :func:`count_columns` counts a run's sends, receives and
+latencies for :func:`~repro.turbo.columnar.count_metrics` with
+``np.bincount`` and ``np.unique``.
 """
 
 from __future__ import annotations
@@ -61,6 +79,8 @@ from repro.postal.machine import ContentionPolicy
 from repro.types import time_repr
 
 __all__ = [
+    "audit_accepts",
+    "count_columns",
     "decode_keys",
     "kernels_enabled",
     "numpy_or_none",
@@ -155,8 +175,15 @@ def decode_keys(keys: "list[int]", n: int, m: int, *, presorted: bool):
     return columns
 
 
-class _Overflow(Exception):
-    """Int64 headroom exhausted — fall back to the Python passes."""
+class _Decline(Exception):
+    """A kernel declines and the caller runs the Python code: int64
+    headroom is exhausted, a column is not ``array('q')``, or — in the
+    audit — a check fails."""
+
+
+def _require(ok) -> None:
+    if not ok:
+        raise _Decline
 
 
 def _seg_cummax(np, vals, group_id):
@@ -170,14 +197,13 @@ def _seg_cummax(np, vals, group_id):
     boundaries.
 
     Raises:
-        _Overflow: the lifted values would not fit int64 (only possible
+        _Decline: the lifted values would not fit int64 (only possible
             for astronomically sparse tick grids).
     """
     base = int(vals.min())
     spread = int(vals.max()) - base + 1
     groups = int(group_id[-1]) + 1
-    if groups * spread >= 2**62:
-        raise _Overflow
+    _require(groups * spread < 2**62)
     offset = group_id * spread
     return np.maximum.accumulate((vals - base) + offset) - offset + base
 
@@ -186,10 +212,9 @@ def replay_passes(plan, policy: ContentionPolicy):
     """The three replay passes as NumPy kernels, or ``None`` to fall
     back to the pure-Python passes.
 
-    Returns ``(starts, order, arrivals, contended)`` with *starts* and
-    *arrivals* as ``array('q')`` and *order* a ``list[int]`` — the
-    exact types and values of the Python passes in
-    :func:`repro.turbo.replay.replay_plan`.
+    Returns ``(starts, order, arrivals, contended)`` with *starts*,
+    *order* and *arrivals* as ``array('q')`` — the exact types and
+    values of the Python passes in :func:`repro.turbo.replay.replay_plan`.
 
     Raises:
         SimultaneousIOError: strict policy, first colliding receive
@@ -207,11 +232,11 @@ def replay_passes(plan, policy: ContentionPolicy):
     receivers = np.frombuffer(plan.receivers, dtype=np.int64)
     E = len(ticks)
     if E == 0:
-        return array("q"), [], array("q"), False
+        return array("q"), array("q"), array("q"), False
 
     try:
         return _passes(np, plan, policy, ticks, senders, receivers, one, lat)
-    except _Overflow:
+    except _Decline:
         return None  # astronomically sparse plan: Python passes handle it
 
 
@@ -281,8 +306,162 @@ def _passes(np, plan, policy, ticks, senders, receivers, one, lat):
         in_window_order[ridx] = due
         arrivals[order] = in_window_order
 
-    starts_arr = array("q")
-    starts_arr.frombytes(starts.tobytes())
-    arrivals_arr = array("q")
-    arrivals_arr.frombytes(arrivals.tobytes())
-    return starts_arr, order.tolist(), arrivals_arr, contended
+    return _column(starts), _column(order), _column(arrivals), contended
+
+
+def _column(values) -> array:
+    """*values* (int64) copied into a fresh ``array('q')``."""
+    column = array("q")
+    column.frombytes(values.tobytes())
+    return column
+
+
+# ------------------------------------------------------ the run's columns
+
+#: Every tick the audit kernel compares: starts plus lambda, arrivals and
+#: their differences then stay inside int64.
+_TICK_LIMIT = 2**62
+
+
+def _int64(np, column):
+    """A zero-copy int64 view of an ``array('q')`` column."""
+    _require(isinstance(column, array) and column.typecode == "q")
+    return np.frombuffer(column, dtype=np.int64)
+
+
+def _in_range(values, lo: int, hi: int) -> bool:
+    return lo <= int(values.min()) and int(values.max()) < hi
+
+
+def _gaps_hold(np, ports, ticks, one: int) -> bool:
+    """Whether the uses of every port, in the given order, are at least
+    *one* tick apart: a stable argsort by port keeps each port's uses in
+    order, and only neighbours on one port are compared."""
+    by_port = np.argsort(ports, kind="stable")
+    p = ports[by_port]
+    t = ticks[by_port]
+    return bool(((t[1:] - t[:-1] >= one) | (p[1:] != p[:-1])).all())
+
+
+def audit_accepts(
+    senders,
+    msgs,
+    receivers,
+    starts,
+    arrivals,
+    order,
+    *,
+    n: int,
+    scale: int,
+    lam_ticks: int,
+    m: "int | None",
+    root: int,
+    broadcast: bool,
+    queued: bool = False,
+):
+    """Whether :func:`~repro.plan.columns.audit_columns` accepts a
+    uniform-latency run, decided on whole columns.
+
+    The arguments are the sweep's, except that *arrivals* may be
+    ``None`` (every row arrives at its start plus ``lambda``: a plan's
+    own times) and *order* ``None`` (the rows in row order).
+
+    Returns:
+        Each message's arrival ticks — the lists the sweep hands
+        :func:`~repro.plan.columns.check_certificates` — when every
+        check before the certificates passes (an empty list when not
+        *broadcast*); ``None`` to decline: NumPy is unavailable or
+        disabled, a column is not ``array('q')``, a value lacks int64
+        headroom, or a check fails.  The caller then runs the sweep.
+    """
+    np = numpy_or_none()
+    if np is None:
+        return None
+    try:
+        return _accepts(
+            np, senders, msgs, receivers, starts, arrivals, order,
+            n, scale, lam_ticks, m, root, broadcast, queued,
+        )
+    except _Decline:
+        return None
+
+
+def _accepts(
+    np, senders, msgs, receivers, starts, arrivals, order,
+    n, one, lat, m, root, broadcast, queued,
+):
+    _require(0 < one < _TICK_LIMIT and 0 < lat < _TICK_LIMIT)
+    _require(not broadcast or (m is not None and 0 <= root < n))
+    columns = [_int64(np, c) for c in (senders, msgs, receivers, starts)]
+    if arrivals is not None:
+        columns.append(_int64(np, arrivals))
+    rows = len(columns[0])
+    _require(rows and all(len(c) == rows for c in columns))
+    if order is not None:  # the sweep's visiting sequence
+        visit = _int64(np, order)
+        _require(len(visit) and _in_range(visit, 0, rows))
+        columns = [c[visit] for c in columns]
+    s, k, r, t = columns[:4]
+
+    # ranges and self-sends
+    _require(_in_range(s, 0, n) and _in_range(r, 0, n))
+    _require(m is None or _in_range(k, 0, m))
+    _require(not (s == r).any())
+    # nonnegative, nondecreasing starts, each arrival at its due tick
+    _require(bool((t[1:] >= t[:-1]).all()))
+    _require(int(t[0]) >= 0 and int(t[-1]) < _TICK_LIMIT - lat)
+    due = t + lat
+    if arrivals is None:
+        a = due
+    else:
+        a = columns[4]
+        _require(bool((a >= due).all() if queued else (a == due).all()))
+        _require(int(a.max()) < _TICK_LIMIT)
+    # one-unit send and receive port gaps
+    _require(_gaps_hold(np, s, t, one) and _gaps_hold(np, r, a, one))
+    if not broadcast:
+        return []
+
+    # single delivery and coverage: the (n-1)*m non-root slots, each once
+    _require(len(t) == (n - 1) * m and not (r == root).any())
+    slots = r * m + k
+    _require(int(np.bincount(slots).max()) == 1)
+    # possession: a sender holds what it sends from its arrival (the root
+    # from 0).  A delivery visited later arrives after this start, so it
+    # fails the same test the sweep fails it for.
+    held = np.zeros(n * m, dtype=np.int64)
+    held[slots] = a
+    _require(bool((held[s * m + k] <= t).all()))
+    if m == 1:
+        return [a.tolist()]
+    return a[np.argsort(k, kind="stable")].reshape(m, n - 1).tolist()
+
+
+def count_columns(n: int, senders, receivers, starts, arrivals):
+    """The counts behind a run's :class:`~repro.obs.metrics.RunMetrics`,
+    from whole columns, or ``None`` to count in Python.
+
+    Returns ``(sends, receives, by_latency)``: per-processor send and
+    receive counts (``np.bincount``) and the sorted ``(arrival - start,
+    count)`` pairs (``np.unique``) — what
+    :func:`~repro.turbo.columnar.tally` counts row by row.  ``None``
+    when NumPy is unavailable or disabled, a column is not
+    ``array('q')``, the columns are empty or unequal, or a processor or
+    tick is out of range.
+    """
+    np = numpy_or_none()
+    if np is None:
+        return None
+    try:
+        s, r, t, a = (_int64(np, c) for c in (senders, receivers, starts, arrivals))
+        _require(len(s) and len(s) == len(r) == len(t) == len(a))
+        _require(_in_range(s, 0, n) and _in_range(r, 0, n))
+        _require(int(t.min()) >= 0 and int(a.min()) >= 0)  # a - t fits
+    except _Decline:
+        return None
+    latencies, counts = np.unique(a - t, return_counts=True)
+    return (
+        np.bincount(s, minlength=n).tolist(),
+        np.bincount(r, minlength=n).tolist(),
+        list(zip(latencies.tolist(), counts.tolist())),
+    )

@@ -583,6 +583,18 @@ def cmd_collectives(args: argparse.Namespace) -> int:
     return 0
 
 
+def _fuzz_families(spec: str) -> "tuple[str, ...]":
+    """The ``--families`` names, with ``PIPELINE`` as both variants: the
+    fuzzer draws ``(m, lambda)`` per family, so it cannot pick one."""
+    names: list[str] = []
+    for name in filter(None, (f.strip() for f in spec.split(","))):
+        if name.upper() == "PIPELINE":
+            names += ["PIPELINE-1", "PIPELINE-2"]
+        else:
+            names.append(name)
+    return tuple(names)
+
+
 def cmd_conformance(args: argparse.Namespace) -> int:
     from dataclasses import replace
 
@@ -602,9 +614,7 @@ def cmd_conformance(args: argparse.Namespace) -> int:
     if args.iterations is not None:
         overrides["iterations"] = args.iterations
     if args.families:
-        overrides["families"] = tuple(
-            f.strip() for f in args.families.split(",") if f.strip()
-        )
+        overrides["families"] = _fuzz_families(args.families)
     if args.chaos is not None:
         overrides["chaos_rate"] = args.chaos
     if args.backend != "exact":
@@ -802,7 +812,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--families",
-        help="comma-separated family subset (e.g. BCAST,PIPELINE-2)",
+        help="comma-separated family subset (e.g. BCAST,PIPELINE-2); "
+        "PIPELINE means both variants, DTREE-<d> any degree",
     )
     p.add_argument(
         "--chaos",

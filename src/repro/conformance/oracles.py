@@ -216,36 +216,17 @@ def register(oracle: Oracle) -> Oracle:
 
 
 def get_oracle(family: str) -> Oracle:
-    """Look up a registered family (case-insensitive)."""
-    key = family.upper()
-    if key not in REGISTRY:
-        raise InvalidParameterError(
-            f"unknown protocol family {family!r} "
-            f"(registered: {', '.join(sorted(REGISTRY))})"
-        )
-    return REGISTRY[key]
-
-
-def resolve_oracle(family: str, m: int, lam: TimeLike) -> Oracle:
-    """The entry a user-given family name selects at ``(m, lambda)``.
-
-    * A registered name, in any case, gives its entry.
-    * ``PIPELINE`` gives PIPELINE-1 or PIPELINE-2, by
-      :func:`~repro.core.multi.pipeline_variant` (Lemma 14 vs 16).
-    * ``DTREE-<d>``, ``d`` a positive decimal integer, gives a DTREE
-      entry at degree ``d`` named ``DTREE-{d}`` (so ``DTREE-03`` is
-      ``DTREE-3``), made on demand and never registered: its time is
-      the Lemma 18 bound, exact when ``d = 1``.
+    """The entry of a family name that needs no ``(m, lambda)``: a
+    registered name, in any case, or ``DTREE-<d>`` (see
+    :func:`resolve_oracle`, which also resolves ``PIPELINE``).
 
     Raises:
-        InvalidParameterError: any other name.
+        InvalidParameterError: any other name, ``PIPELINE`` included.
     """
     key = family.upper()
     oracle = REGISTRY.get(key)
     if oracle is not None:
         return oracle
-    if key == "PIPELINE":
-        return REGISTRY[pipeline_variant(m, lam)]
     degree = key[len("DTREE-"):]
     if key.startswith("DTREE-") and degree.isascii() and degree.isdigit():
         try:
@@ -261,8 +242,29 @@ def resolve_oracle(family: str, m: int, lam: TimeLike) -> Oracle:
             )
     raise InvalidParameterError(
         f"unknown family {family!r} (registered: {', '.join(families())}; "
-        "also PIPELINE and DTREE-<d> for a degree d >= 1)"
+        "also DTREE-<d> for a degree d >= 1, and PIPELINE at a given m "
+        "and lambda)"
     )
+
+
+def resolve_oracle(family: str, m: int, lam: TimeLike) -> Oracle:
+    """The entry a user-given family name selects at ``(m, lambda)``.
+
+    * A registered name, in any case, gives its entry.
+    * ``PIPELINE`` gives PIPELINE-1 or PIPELINE-2, by
+      :func:`~repro.core.multi.pipeline_variant` (Lemma 14 vs 16).
+    * ``DTREE-<d>``, ``d`` a positive decimal integer, gives a DTREE
+      entry at degree ``d`` named ``DTREE-{d}`` (so ``DTREE-03`` is
+      ``DTREE-3``), made on demand and never registered: its time is
+      the Lemma 18 bound, exact when ``d = 1``.
+
+    Raises:
+        InvalidParameterError: any other name (:func:`get_oracle`'s
+            message).
+    """
+    if family.upper() == "PIPELINE":
+        return REGISTRY[pipeline_variant(m, lam)]
+    return get_oracle(family)
 
 
 def families() -> tuple[str, ...]:

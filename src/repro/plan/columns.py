@@ -71,7 +71,12 @@ from repro.errors import (
 from repro.turbo.ticks import TickDomain
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
 
-__all__ = ["SchedulePlan", "audit_columns", "check_certificates"]
+__all__ = [
+    "SchedulePlan",
+    "accept_or_audit",
+    "audit_columns",
+    "check_certificates",
+]
 
 #: Magic prefix of the on-disk plan format (bumped on layout changes).
 _MAGIC = b"repro-plan/1\n"
@@ -309,7 +314,8 @@ class SchedulePlan:
         the simultaneous-I/O port audit, then the paper's certificates,
         Lemma 5 and Lemma 8 — in pure integer arithmetic with no event
         materialization: :func:`audit_columns` over the planned times
-        (``ticks`` and ``ticks + lambda``) in row order.
+        (``ticks`` and ``ticks + lambda``) in row order, with the NumPy
+        accept test in front (:func:`accept_or_audit`).
 
         Raises:
             ScheduleError: structural violation (range, causality,
@@ -341,12 +347,9 @@ class SchedulePlan:
         self._audit(broadcast=False)
 
     def _audit(self, *, broadcast: bool) -> None:
-        lam_ticks = self._lam_ticks
-        arrivals = [t + lam_ticks for t in self.ticks]
-        audit_columns(
-            self.senders, self.msgs, self.receivers,
-            self.ticks, arrivals, range(len(arrivals)),
-            n=self.n, scale=self.domain.scale, lam_ticks=lam_ticks,
+        accept_or_audit(
+            self.senders, self.msgs, self.receivers, self.ticks, None, None,
+            n=self.n, scale=self.domain.scale, lam_ticks=self._lam_ticks,
             m=self.m, root=self.root, broadcast=broadcast,
         )
 
@@ -733,6 +736,64 @@ def audit_columns(
             check_certificates(
                 n, m, Fraction(lam_ticks, scale), scale, arrived
             )
+
+
+def accept_or_audit(
+    senders,
+    msgs,
+    receivers,
+    starts,
+    arrivals,
+    order,
+    *,
+    n: int,
+    scale: int,
+    lam_ticks: int,
+    m: int,
+    root: ProcId = 0,
+    broadcast: bool = True,
+    queued: bool = False,
+) -> None:
+    """:func:`audit_columns` on a uniform-latency run, with the NumPy
+    accept test in front.
+
+    :func:`repro.batch.kernels.audit_accepts` decides on whole columns
+    whether the sweep would accept them; when it does, a *broadcast*
+    still gets the paper's certificates (:func:`check_certificates`) on
+    the arrivals it returns.  When it declines — no NumPy, a column
+    that is not ``array('q')``, too little int64 headroom, or any
+    rejection — the sweep runs and raises its own error.  Used where
+    the plan layer or the replay kernels have loaded NumPy already:
+    :meth:`SchedulePlan.audit`, :meth:`SchedulePlan.audit_ports` and
+    :meth:`ReplaySystem.audit <repro.turbo.replay.ReplaySystem.audit>`.
+
+    The arguments are :func:`audit_columns`'s, except that *arrivals*
+    ``None`` means every row arrives at its start plus ``lambda`` and
+    *order* ``None`` means row order.
+
+    Raises:
+        ScheduleError / SimultaneousIOError: as :func:`audit_columns`.
+    """
+    # imported here, not at module level: repro.batch imports repro.plan
+    from repro.batch.kernels import audit_accepts
+
+    arrived = audit_accepts(
+        senders, msgs, receivers, starts, arrivals, order,
+        n=n, scale=scale, lam_ticks=lam_ticks, m=m, root=root,
+        broadcast=broadcast, queued=queued,
+    )
+    if arrived is not None:
+        if broadcast:
+            check_certificates(n, m, Fraction(lam_ticks, scale), scale, arrived)
+        return
+    if arrivals is None:
+        arrivals = [t + lam_ticks for t in starts]
+    audit_columns(
+        senders, msgs, receivers, starts, arrivals,
+        range(len(starts)) if order is None else order,
+        n=n, scale=scale, lam_ticks=lam_ticks, m=m, root=root,
+        broadcast=broadcast, queued=queued,
+    )
 
 
 def check_certificates(

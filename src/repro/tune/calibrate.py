@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from repro.conformance.oracles import get_oracle
+from repro.conformance.oracles import resolve_oracle
 from repro.postal.machine import ContentionPolicy
 from repro.types import Time, TimeLike, as_time
 
@@ -54,7 +54,7 @@ def measure(
     from repro.postal.runner import _run_turbo
 
     lam_t = as_time(lam)
-    oracle = get_oracle(family)
+    oracle = resolve_oracle(family, m, lam_t)
     oracle.check_applicable(n, m, lam_t)
     system = _run_turbo(
         oracle.protocol(n, m, lam_t),

@@ -7,12 +7,18 @@ tick it arrived.  :class:`~repro.turbo.fastsim.TurboSystem` and
 the functions here instead of materializing a trace:
 
 * :func:`count_metrics` — the run's
-  :class:`~repro.obs.metrics.RunMetrics` by counting, equal to folding
-  the trace through a :class:`~repro.obs.metrics.MetricsCollector`;
+  :class:`~repro.obs.metrics.RunMetrics` from its counts, equal to
+  folding the trace through a
+  :class:`~repro.obs.metrics.MetricsCollector`.  The counts are
+  :func:`tally`'s row-by-row loop, or, on the replay lane with NumPy,
+  :func:`repro.batch.kernels.count_columns`'s ``bincount`` and
+  ``unique`` over whole columns;
 * :func:`port_views` — the port busy logs, built on demand.
 
 The audit of those columns, the paper's certificates included, is
-:func:`repro.plan.columns.audit_columns`, and the realized schedule is
+:func:`repro.plan.columns.audit_columns` (behind a NumPy accept test on
+the replay lane, :func:`repro.plan.columns.accept_or_audit`), and the
+realized schedule is
 a :class:`~repro.core.schedule.Schedule` over them
 (:meth:`~repro.core.schedule.Schedule.from_columns`), which builds its
 events only when read.
@@ -22,7 +28,8 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from fractions import Fraction
-from typing import Iterable
+from operator import itemgetter
+from typing import Iterable, Sequence
 
 from repro.obs.metrics import RunMetrics
 from repro.turbo.runlog import CONSUME, DELIVER, RunLog
@@ -33,27 +40,52 @@ __all__ = [
     "PortView",
     "count_metrics",
     "port_views",
+    "tally",
 ]
+
+
+def tally(
+    n: int,
+    senders: Iterable[ProcId],
+    receivers: Iterable[ProcId],
+    latencies: Iterable[int],
+) -> "tuple[list[int], list[int], list[tuple[int, int]]]":
+    """A run's counts, row by row: the sends and receives of every
+    processor, and the sorted ``(latency ticks, count)`` pairs of its
+    deliveries — the inputs of :func:`count_metrics`.
+
+    Args:
+        senders: the sender of every send.
+        receivers / latencies: the receiver and the ``arrival - start``
+            ticks of every delivery.
+    """
+    sent = [0] * n
+    for p in senders:
+        sent[p] += 1
+    got = [0] * n
+    for p in receivers:
+        got[p] += 1
+    return sent, got, sorted(Counter(latencies).items())
 
 
 def count_metrics(
     n: int,
     lam: Time,
     domain: TickDomain,
-    senders: Iterable[ProcId],
-    receivers: Iterable[ProcId],
-    latencies: Iterable[int],
+    sends: Sequence[int],
+    receives: Sequence[int],
+    by_latency: "Sequence[tuple[int, int]]",
     makespan: Time,
     *,
     log: "RunLog | None" = None,
 ) -> RunMetrics:
-    """A run's :class:`~repro.obs.metrics.RunMetrics`, by counting.
+    """A run's :class:`~repro.obs.metrics.RunMetrics`, from its counts.
 
     Args:
         n / lam / domain: the machine and its tick grid.
-        senders: the sender of every send.
-        receivers / latencies: the receiver and the ``arrival - start``
-            ticks of every delivery.
+        sends / receives: each processor's send and delivery counts.
+        by_latency: the sorted ``(arrival - start ticks, count)`` pairs
+            of the deliveries (:func:`tally` counts all three).
         makespan: the last arrival.
         log: the run's :class:`~repro.turbo.runlog.RunLog`, when its
             programs consume deliveries.  Its ``DELIVER`` and ``CONSUME``
@@ -66,18 +98,15 @@ def count_metrics(
     Equal, field for field, to folding the run's trace through a
     :class:`~repro.obs.metrics.MetricsCollector`.
     """
-    sent = [0] * n
-    for p in senders:
-        sent[p] += 1
-    got = [0] * n
-    for p in receivers:
-        got[p] += 1
-    sends, receives = tuple(sent), tuple(got)
+    sends, receives = tuple(sends), tuple(receives)
     deliveries = sum(receives)
-    # one Fraction per distinct count
-    busy = {c: Fraction(c) for c in {*sends, *receives}}
-    util = {c: b / makespan if makespan else ZERO for c, b in busy.items()}
-    by_latency = sorted(Counter(latencies).items())
+    # one Fraction per distinct count, in tables indexed by the count
+    distinct = {*sends, *receives}
+    busy: list = [None] * (max(distinct, default=0) + 1)
+    util = busy[:]
+    for c in distinct:
+        busy[c] = b = Fraction(c)
+        util[c] = b / makespan if makespan else ZERO
     to_time = domain.to_time
     histogram = tuple((to_time(lat), count) for lat, count in by_latency)
 
@@ -115,10 +144,10 @@ def count_metrics(
         total_drops=0,
         sends=sends,
         receives=receives,
-        send_busy=tuple(map(busy.__getitem__, sends)),
-        recv_busy=tuple(map(busy.__getitem__, receives)),
-        send_utilization=tuple(map(util.__getitem__, sends)),
-        recv_utilization=tuple(map(util.__getitem__, receives)),
+        send_busy=_per_processor(busy, sends),
+        recv_busy=_per_processor(busy, receives),
+        send_utilization=_per_processor(util, sends),
+        recv_utilization=_per_processor(util, receives),
         inbox_high_water=high_water,
         inbox_residual=residual,
         latency_histogram=histogram,
@@ -134,6 +163,13 @@ def count_metrics(
         ),
         max_inbox_wait=max_wait,
     )
+
+
+def _per_processor(table: list, counts: "tuple[int, ...]") -> tuple:
+    """``table[c]`` for every count *c*, as a tuple."""
+    if len(counts) < 2:  # itemgetter of one index returns the bare item
+        return tuple(table[c] for c in counts)
+    return itemgetter(*counts)(table)
 
 
 class PortView:

@@ -82,7 +82,7 @@ from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
-from repro.turbo.columnar import PortView, count_metrics, port_views
+from repro.turbo.columnar import PortView, count_metrics, port_views, tally
 from repro.turbo.runlog import (
     CONSUME as _CONSUME,
     DELIVER as _DELIVER,
@@ -986,16 +986,15 @@ class TurboSystem:
 
     def run_metrics(self) -> RunMetrics:
         """The run's :class:`~repro.obs.metrics.RunMetrics`, counted on the
-        log columns (:func:`~repro.turbo.columnar.count_metrics`).  Equal
+        log columns (:func:`~repro.turbo.columnar.tally` and
+        :func:`~repro.turbo.columnar.count_metrics`).  Equal
         to folding :attr:`tracer` through a
         :class:`~repro.obs.metrics.MetricsCollector`, without building it."""
         log = self._log
         sends, deliveries, *_ = self._realized()
         ticks = log.ticks
-        return count_metrics(
+        counts = tally(
             self._n,
-            self._lam,
-            self.domain,
             map(log.a.__getitem__, sends),
             map(log.b.__getitem__, deliveries),
             map(
@@ -1003,7 +1002,9 @@ class TurboSystem:
                 map(ticks.__getitem__, deliveries),
                 map(ticks.__getitem__, map(log.c.__getitem__, deliveries)),
             ),
-            self.completion_time,
+        )
+        return count_metrics(
+            self._n, self._lam, self.domain, *counts, self.completion_time,
             log=log,
         )
 

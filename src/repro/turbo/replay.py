@@ -51,9 +51,14 @@ When NumPy is installed (the ``repro[speed]`` extra) the three passes
 run as whole-column kernels from :mod:`repro.batch.kernels` over
 zero-copy views of the plan columns; ``REPRO_NUMPY=off`` (or an absent
 NumPy) takes the pure-Python passes below.  The two implementations are
-byte-identical — same arrays, same order, same first-collision
-exception — which ``tests/test_batch_differential.py`` pins per family
-and policy.
+byte-identical — same arrays (the window order included, an
+``array('q')`` on both), same first-collision exception — which
+``tests/test_batch_differential.py`` pins per family and policy.  With
+the kernels on, the audit runs a whole-column accept test before its
+sweep (:func:`repro.batch.kernels.audit_accepts`; the sweep still
+reports every rejection) and the metrics count with ``np.bincount`` and
+``np.unique`` (:func:`repro.batch.kernels.count_columns`);
+``tests/test_audit_kernel.py`` pins both against their Python forms.
 """
 
 from __future__ import annotations
@@ -62,7 +67,7 @@ import hashlib
 from array import array
 from operator import sub
 
-from repro.batch.kernels import replay_passes
+from repro.batch.kernels import count_columns, replay_passes
 
 from repro.core.schedule import Schedule
 from repro.errors import ModelError, SimultaneousIOError
@@ -70,7 +75,7 @@ from repro.obs.metrics import RunMetrics
 from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
-from repro.turbo.columnar import PortView, count_metrics, port_views
+from repro.turbo.columnar import PortView, count_metrics, port_views, tally
 from repro.types import ProcId, Time, ZERO, time_repr
 
 __all__ = ["ReplaySystem", "replay_plan"]
@@ -159,7 +164,7 @@ def replay_plan(plan, *, policy: ContentionPolicy = ContentionPolicy.STRICT):
             recv_free[d] = due
             arrivals[i] = due
 
-    system = ReplaySystem(plan, policy, starts, arrivals, order)
+    system = ReplaySystem(plan, policy, starts, arrivals, array("q", order))
     if policy is not ContentionPolicy.STRICT:
         system.queued_contention = contended
     return system
@@ -187,6 +192,7 @@ class ReplaySystem:
         "_starts",
         "_arrivals",
         "_order",
+        "_completion",
         "_tracer",
         "_send_views",
         "_recv_views",
@@ -200,6 +206,7 @@ class ReplaySystem:
         self._starts = starts
         self._arrivals = arrivals
         self._order = order
+        self._completion = None
         self._tracer = None
         self._send_views = None
         self._recv_views = None
@@ -238,10 +245,12 @@ class ReplaySystem:
 
     @property
     def completion_time(self) -> Time:
-        arrivals = self._arrivals
-        if not arrivals:
-            return ZERO
-        return self.domain.to_time(max(arrivals))
+        if self._completion is None:
+            arrivals = self._arrivals
+            self._completion = (
+                self.domain.to_time(max(arrivals)) if arrivals else ZERO
+            )
+        return self._completion
 
     def column_digest(self) -> str:
         """SHA-256 over the realized ``starts`` and ``arrivals`` columns
@@ -283,7 +292,9 @@ class ReplaySystem:
         """Audit the realized run on its integer columns, with no trace.
 
         One :func:`~repro.plan.columns.audit_columns` sweep in window
-        order checks the postal model (Definitions 1-2): ranges,
+        order, or with NumPy first its whole-column accept test
+        (:func:`~repro.plan.columns.accept_or_audit`), checks the postal
+        model (Definitions 1-2): ranges,
         ``arrival == start + lambda`` (``>=`` under the queued policy —
         ``run_protocol`` refuses contended queued replays, so its
         replays never arrive late), a one-unit gap between uses of every
@@ -297,10 +308,10 @@ class ReplaySystem:
             SimultaneousIOError: two uses of one port overlap.
         """
         # local: repro.plan.columns imports repro.turbo (the tick domain)
-        from repro.plan.columns import audit_columns
+        from repro.plan.columns import accept_or_audit
 
         plan = self.plan
-        audit_columns(
+        accept_or_audit(
             plan.senders, plan.msgs, plan.receivers,
             self._starts, self._arrivals, self._order,
             n=plan.n, scale=self._one, lam_ticks=plan.lam_ticks,
@@ -310,22 +321,25 @@ class ReplaySystem:
 
     def run_metrics(self) -> RunMetrics:
         """The run's :class:`~repro.obs.metrics.RunMetrics`, counted on the
-        columns.  Equal to folding :attr:`tracer` through a
-        :class:`~repro.obs.metrics.MetricsCollector`, without building it.
+        columns: by ``np.bincount`` and ``np.unique`` with NumPy
+        (:func:`~repro.batch.kernels.count_columns`), else row by row
+        (:func:`~repro.turbo.columnar.tally`).  Equal to folding
+        :attr:`tracer` through a :class:`~repro.obs.metrics.
+        MetricsCollector`, without building it.
 
         A replay consumes nothing, so inboxes only fill: each high-water
         mark and residual equals the processor's receive count,
         ``total_consumed`` is 0 and ``max_inbox_wait`` is ``None``.
         """
         plan = self.plan
+        starts, arrivals = self._starts, self._arrivals
+        counts = count_columns(plan.n, plan.senders, plan.receivers, starts, arrivals)
+        if counts is None:
+            counts = tally(
+                plan.n, plan.senders, plan.receivers, map(sub, arrivals, starts)
+            )
         return count_metrics(
-            plan.n,
-            plan.lam,
-            self.domain,
-            plan.senders,
-            plan.receivers,
-            map(sub, self._arrivals, self._starts),
-            self.completion_time,
+            plan.n, plan.lam, self.domain, *counts, self.completion_time
         )
 
     # ------------------------------------------------------ validator views

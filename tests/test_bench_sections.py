@@ -18,6 +18,7 @@ from repro.bench import (
     BenchCase,
     BenchResult,
     REPLAY_GATE_MIN_SPEEDUP,
+    REPLAY_TAIL_GATE_MAX,
     SCHEMA,
     Section,
     batch_grid,
@@ -183,6 +184,26 @@ def test_bench_replay_section_shape():
     assert section["gate"]["min_speedup"] == REPLAY_GATE_MIN_SPEEDUP
     assert section["speedup"] > 1.0
     assert section["replay_s"] < section["exact_s"]
+
+
+def test_bench_replay_records_the_tail_gate():
+    # the section's shape at a small n, not its verdict
+    section = bench_replay(n=256)
+    gate = section["gate"]
+    assert gate["max_tail_over_kernel"] == REPLAY_TAIL_GATE_MAX == 10.0
+    assert section["kernel_s"] > 0
+    assert section["kernels"] is kernels_enabled()
+    # both times are rounded to 6 places, a few percent of 0.1 ms
+    assert section["tail_over_kernel"] == pytest.approx(
+        section["replay_s"] / section["kernel_s"], rel=0.05
+    )
+    assert gate["ok"] == (gate["speedup_ok"] and gate["tail_ok"])
+    if not kernels_enabled():
+        assert gate["tail_ok"] is True  # no bar against the Python passes
+    lines = bench._report_replay(section)
+    assert lines[0].startswith("replay gate: replay >= 20x exact")
+    assert lines[1].startswith("tail gate: ")
+    assert lines[1].endswith("[SKIP]") != kernels_enabled()
 
 
 def test_profile_case_writes_pstats_and_table(tmp_path):

@@ -236,6 +236,30 @@ class TestCli:
         assert rc == 0
         assert "PIPELINE-2" in out
 
+    def test_conformance_takes_the_names_every_front_door_takes(self, capsys):
+        # PIPELINE is both variants; DTREE-<d> any degree
+        from repro.cli import main
+
+        rc = main(["conformance", "--smoke", "--families", "pipeline,dtree-5"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "over 3 families" in out
+        for family in ("PIPELINE-1", "PIPELINE-2", "DTREE-5"):
+            assert family in out
+
+    def test_get_oracle_refuses_what_needs_m_and_lambda(self):
+        from repro.conformance import get_oracle
+        from repro.conformance.oracles import resolve_oracle
+
+        assert get_oracle("dtree-05").family == "DTREE-5"
+        with pytest.raises(InvalidParameterError) as exc:
+            get_oracle("pipeline")
+        with pytest.raises(InvalidParameterError) as other:
+            resolve_oracle("nosuch", 1, 2)
+        prefix = "unknown family 'pipeline' ("
+        assert str(exc.value).startswith(prefix)
+        assert str(exc.value)[len(prefix):] == str(other.value).split(" (", 1)[1]
+
 
 class TestBatchPlanDistribution:
     """``FuzzOptions(batch=True)``: pre-compiled, shared-memory plans
