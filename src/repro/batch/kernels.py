@@ -18,7 +18,7 @@ objects):
   chain.  The segmentation trick offsets each group by a disjoint range
   so one global accumulate never leaks across groups; the required
   headroom is checked against int64 and the caller falls back to the
-  Python pass when it would overflow (astronomically large tick spans).
+  Python pass when it would overflow (large tick spans or fine scales).
 * **pass 2 (window order)** — ``np.argsort(starts, kind="stable")``,
   bit-identical to the Python ``sorted``'s stable order.
 * **pass 3 (port booking)** — group the window-ordered rows by receiver
@@ -198,7 +198,7 @@ def _seg_cummax(np, vals, group_id):
 
     Raises:
         _Decline: the lifted values would not fit int64 (only possible
-            for astronomically sparse tick grids).
+            for sparse or very fine tick grids).
     """
     base = int(vals.min())
     spread = int(vals.max()) - base + 1
@@ -237,11 +237,14 @@ def replay_passes(plan, policy: ContentionPolicy):
     try:
         return _passes(np, plan, policy, ticks, senders, receivers, one, lat)
     except _Decline:
-        return None  # astronomically sparse plan: Python passes handle it
+        return None  # too little int64 headroom: the Python passes decide
 
 
 def _passes(np, plan, policy, ticks, senders, receivers, one, lat):
     E = len(ticks)
+    # int64 headroom: a start passes the last planned tick, and a queued
+    # arrival its start plus lambda, by under one unit per row
+    _require(int(ticks.min()) >= 0 and int(ticks.max()) + 2 * E * one + lat < 2**63)
 
     # ---- pass 1: per-sender prefix-max starts ----------------------------
     sidx = np.argsort(senders, kind="stable")

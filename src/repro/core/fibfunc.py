@@ -305,7 +305,7 @@ def postal_f(lam: TimeLike, n: int) -> Fraction:
 
 def check_informed_bound(
     lam: TimeLike, scale: int, arrived: Sequence[Sequence[int]]
-) -> None:
+) -> int:
     """The Lemma 5 certificate ``N(t) <= F_lambda(t)`` over integer ticks.
 
     ``arrived[k]`` lists the arrival ticks of message ``k``'s deliveries
@@ -319,20 +319,25 @@ def check_informed_bound(
     ``F_lambda``, so the check costs one bisect per jump and message,
     after one sort of each message's arrivals.
 
+    Returns the largest arrival tick (0 if none), for Lemma 8.
+
     Raises:
         ScheduleError: the first violation of the lowest such message,
             reported at the arrival that breaks the bound.
     """
     longest = max(map(len, arrived), default=0)
     if not longest:
-        return
+        return 0
     # tabulated up to f(longest + 1): beyond it F_lambda(t) exceeds any count
     prefix = IntPrefix(lam, longest + 1)
     factor = scale // prefix.scale
     times = [t * factor for t in prefix.times]
     values = prefix.values
+    last = 0
     for k, arrivals in enumerate(arrived):
         ticks = sorted(arrivals)
+        if ticks and ticks[-1] > last:
+            last = ticks[-1]
         for j in range(len(values) - 1):
             bound = values[j]
             if bound > len(ticks):
@@ -344,3 +349,4 @@ def check_informed_bound(
                     f"Lemma 5: {bound + 1} processors know M{k + 1} at "
                     f"t={time_repr(t)} but F_lambda(t) = {bound}"
                 )
+    return last

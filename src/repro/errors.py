@@ -61,8 +61,8 @@ class SimulationError(ReproError):
 
 class TickDomainError(InvalidParameterError):
     """A time value cannot be represented losslessly in the integer tick
-    domain of the turbo backend (off-grid delay, or a pathological mix of
-    denominators whose LCM exceeds the supported scale)."""
+    domain of a fast lane: a delay off the run's fixed tick grid, or a
+    tick that does not fit the lane's int64 columns."""
 
 
 class PlanCacheError(ReproError):

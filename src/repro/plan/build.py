@@ -30,15 +30,14 @@ family names through
 :func:`~repro.conformance.oracles.resolve_oracle`.  This module lists
 no families.
 
-Two views decode the keys into the same four columns.
-:func:`compile_plan` stores them as the ``int64`` columns of a
-:class:`~repro.plan.columns.SchedulePlan`, whose tick scale is capped
-at :data:`~repro.turbo.ticks.MAX_SCALE`.  :func:`compile_schedule` —
-what the ``repro.core`` and ``repro.algorithms`` builders call —
-decodes them in pure Python at lambda's own denominator, with no cap,
-into a :class:`~repro.core.schedule.Schedule` that builds its
-``SendEvent`` objects only when read, so every rational lambda (binary
-floats such as ``2.1`` included) builds.  The
+Two views decode the same keys, both compiled at lambda's own
+denominator.  :func:`compile_plan` stores them as the ``int64`` columns
+of a :class:`~repro.plan.columns.SchedulePlan`, which refuses a tick
+past int64 (:class:`~repro.errors.TickDomainError`).
+:func:`compile_schedule` — what the ``repro.core`` and
+``repro.algorithms`` builders call — decodes them in pure Python into a
+:class:`~repro.core.schedule.Schedule`, which holds such ticks as
+Python ints and builds its ``SendEvent`` objects only when read.  The
 independent witnesses are the event-driven protocols on the exact
 engine, the closed-form oracles and the :mod:`repro.core.optimal` DP.
 
@@ -561,10 +560,9 @@ def compile_plan(
     """Compile ``(family, n, m, lambda)`` into a columnar
     :class:`~repro.plan.columns.SchedulePlan`.
 
-    Pure integer-tick construction, iterative and allocation-light.  The
-    plan's ``int64`` tick columns cap the scale at
-    :data:`~repro.turbo.ticks.MAX_SCALE`; :func:`compile_schedule` runs
-    the same compilers uncapped for the event-object builders.
+    Pure integer-tick construction, iterative and allocation-light, at
+    lambda's own denominator — the scale :func:`compile_schedule` uses
+    for the event-object builders.
 
     Args:
         family: one of :func:`plan_families`,
@@ -583,11 +581,10 @@ def compile_plan(
     Raises:
         InvalidParameterError: unknown family, or parameters outside the
             family's domain (e.g. BCAST with ``m != 1``).
-        TickDomainError: ``lambda``'s denominator exceeds the supported
-            tick scale.
+        TickDomainError: a tick does not fit the plan's int64 columns.
     """
     oracle, lam = _resolve(family, n, m, lam)
-    domain = TickDomain.for_values([lam])
+    domain = TickDomain(lam.denominator)
     m = _plan_m(oracle, n, m)
     keys = oracle.keys(n, m, lam, domain.scale)
     plan = SchedulePlan.from_sorted_keys(oracle.family, n, m, lam, domain, keys)
@@ -613,11 +610,11 @@ def compile_schedule(
     The constructor behind every static broadcast builder
     (:func:`~repro.core.bcast.bcast_schedule`, the multi-message, DTREE,
     STAR and BINOMIAL builders).  It runs the :func:`compile_plan`
-    compilers at lambda's own denominator with no tick-scale cap — so a
-    binary float such as ``2.1`` (denominator ``2**51``) builds exactly —
-    and decodes the keys into the schedule's columns with the
-    pure-Python decode (:func:`~repro.plan.columns._decode_keys`; ticks
-    past int64 stay Python ints).  The schedule builds its
+    compilers at the same scale, lambda's own denominator, and decodes
+    the keys with the pure-Python decode
+    (:func:`~repro.plan.columns._decode_keys`), so no builder loads
+    NumPy; ticks past int64 stay Python ints, where a plan would refuse
+    them.  The schedule builds its
     :class:`~repro.core.schedule.SendEvent` objects only when read.
 
     Args:

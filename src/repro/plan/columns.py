@@ -20,7 +20,9 @@ A :class:`SchedulePlan` stores one broadcast schedule as four parallel
 * ``receivers``  — destination processor per event,
 
 sorted by ``(tick, sender, msg, receiver)`` — exactly the order
-:class:`~repro.core.schedule.Schedule` keeps its events in, so the two
+:class:`~repro.core.schedule.Schedule` keeps its events in.  Any scale
+works; a tick past int64 is refused at construction
+(:class:`~repro.errors.TickDomainError`), and otherwise the two
 representations convert **losslessly** in both directions
 (:meth:`to_schedule` / :meth:`from_schedule` round-trip to identical
 event tuples).  A ``Schedule`` is itself four such columns and builds
@@ -68,7 +70,7 @@ from repro.errors import (
     ScheduleError,
     SimultaneousIOError,
 )
-from repro.turbo.ticks import TickDomain
+from repro.turbo.ticks import TickDomain, column_overflow
 from repro.types import ProcId, Time, TimeLike, ZERO, as_time, time_repr
 
 __all__ = [
@@ -253,19 +255,17 @@ class SchedulePlan:
         order.
 
         Raises:
-            TickDomainError: the schedule's times do not lie on a common
-                tick grid within :data:`repro.turbo.ticks.MAX_SCALE`.
+            TickDomainError: a tick does not fit the int64 columns.
         """
-        domain = TickDomain(schedule._scale)
+        scale = schedule._scale
         rows = schedule._rows()
+        try:
+            columns = [array("q", [row[i] for row in rows]) for i in range(4)]
+        except OverflowError:
+            raise column_overflow(scale) from None
         return cls(
-            family,
-            schedule.n,
-            schedule.m,
-            schedule.lam,
-            domain,
-            *(array("q", [row[i] for row in rows]) for i in range(4)),
-            root=schedule.root,
+            family, schedule.n, schedule.m, schedule.lam, TickDomain(scale),
+            *columns, root=schedule.root,
         )
 
     @classmethod
@@ -294,6 +294,9 @@ class SchedulePlan:
         splits the keys as one int64 array.  Without it, or when a key
         does not fit int64, the keys are sorted in place and split in
         whole-list passes.  Both decodes give the same columns.
+
+        Raises:
+            TickDomainError: a tick does not fit the int64 columns.
         """
         # imported here, not at module level: repro.batch imports repro.plan
         from repro.batch.kernels import decode_keys
@@ -301,6 +304,8 @@ class SchedulePlan:
         columns = decode_keys(keys, n, m, presorted=presorted)
         if columns is None:
             columns = _decode_keys(keys, n, m, presorted=presorted)
+            if type(columns[0]) is list:
+                raise column_overflow(domain.scale)
         return cls(family, n, m, lam, domain, *columns, root=root)
 
     # ----------------------------------------------------------- validation
@@ -806,16 +811,14 @@ def check_certificates(
 
     * Lemma 5 — at every time ``t`` at most ``F_lambda(t)`` processors
       know each message (:func:`~repro.core.fibfunc.check_informed_bound`);
-    * Lemma 8 — the last arrival is no earlier than
-      ``(m-1) + f_lambda(n)`` (:func:`~repro.core.analysis.
-      multi_lower_bound`).
+    * Lemma 8 — the last arrival, which the Lemma 5 check returns from
+      its sorted lists, is no earlier than ``(m-1) + f_lambda(n)``
+      (:func:`~repro.core.analysis.multi_lower_bound`).
 
     Raises:
         ScheduleError: a certificate fails.
     """
-    check_informed_bound(lam, scale, arrived)
-    last = max((max(ticks) for ticks in arrived if ticks), default=0)
-    completion = Fraction(last, scale)
+    completion = Fraction(check_informed_bound(lam, scale, arrived), scale)
     bound = multi_lower_bound(n, m, lam)
     if completion < bound:
         raise ScheduleError(

@@ -20,21 +20,21 @@ Three execution lanes share this entry point:
   callbacks, and the run is audited and measured on the integer columns
   of its run log.  Results are bit-identical to the exact lane for every
   registered protocol family (pinned by
-  ``tests/test_turbo_equivalence.py``); a protocol whose delays leave
-  the tick grid raises :class:`~repro.errors.TickDomainError` instead of
-  degrading.
+  ``tests/test_turbo_equivalence.py``); a delay off the fixed tick grid,
+  or a tick past int64, raises :class:`~repro.errors.TickDomainError`.
 * ``backend="replay"`` — the vectorized plan tier
   (:mod:`repro.turbo.replay`): the protocol is *compiled* to a columnar
   :class:`~repro.plan.columns.SchedulePlan` (cached across runs by
   :func:`repro.plan.build_plan`) and executed as batched column passes —
   no event queue, no generators — then audited and measured on its
-  integer columns.  The schedule, completion, sends and ports are
-  byte-identical to the other lanes (pinned by
-  ``tests/test_replay_equivalence.py``).  The metrics differ only where
-  a replay has nothing to count: no protocol program consumes a
-  delivery, so ``total_consumed`` is 0, ``max_inbox_wait`` is ``None``
-  and every inbox high-water mark and residual equals the processor's
-  receive count.  Only protocols with a registered plan compiler and
+  integer columns, which must hold its ticks in int64
+  (:class:`~repro.errors.TickDomainError` otherwise).  The schedule,
+  completion, sends and ports are byte-identical to the other lanes
+  (pinned by ``tests/test_replay_equivalence.py``).  The metrics differ
+  only where a replay has nothing to count: no protocol program
+  consumes a delivery, so ``total_consumed`` is 0, ``max_inbox_wait``
+  is ``None`` and every inbox high-water mark and residual equals the
+  processor's receive count.  Only protocols with a registered plan compiler and
   uniform latency qualify; anything else raises
   :class:`~repro.errors.InvalidParameterError`.
 

@@ -35,11 +35,10 @@ from repro.turbo.fastsim import (
 )
 from repro.turbo.replay import ReplaySystem, replay_plan
 from repro.turbo.runlog import RunLog
-from repro.turbo.ticks import TickDomain, lcm_denominator
+from repro.turbo.ticks import TickDomain
 
 __all__ = [
     "TickDomain",
-    "lcm_denominator",
     "TurboEnvironment",
     "TurboEvent",
     "TurboProcess",

@@ -15,9 +15,9 @@ a postal run only ever
 This module specializes for that shape:
 
 * **Integer tick keys** — all times are rescaled to plain ``int`` ticks
-  by a :class:`~repro.turbo.ticks.TickDomain` (lossless: scale = LCM of
-  the run's denominators), so event ordering is C-speed int comparison
-  instead of ``Fraction.__lt__``.
+  by a :class:`~repro.turbo.ticks.TickDomain` (lossless: scale = the
+  denominator of lambda, with no cap), so event ordering is C-speed int
+  comparison instead of ``Fraction.__lt__``.
 * **Calendar queue** — postal events land on a *dense* tick grid, so the
   scheduler is a bucket-per-tick calendar (O(1) push and pop) with a
   bounded look-ahead window, an overflow heap for far-future entries,
@@ -52,8 +52,9 @@ Protocols run **unchanged**: :class:`TurboSystem` exposes the same
 ``send`` / ``recv`` / ``env.now`` / ``env.timeout`` surface as
 :class:`~repro.postal.machine.PostalSystem`, and
 :func:`repro.postal.runner.run_protocol` selects the lane with
-``backend="turbo"``.  Off-grid delays (a timeout or pair latency whose
-denominator does not divide the tick scale) raise
+``backend="turbo"``.  The grid is fixed when the run starts: a timeout
+or pair latency off it, or a tick past the int64 columns of the log
+(checked once, by :meth:`TurboEnvironment.run`), raises
 :class:`~repro.errors.TickDomainError` directing the caller to the exact
 backend — turbo is never silently approximate.
 
@@ -91,7 +92,7 @@ from repro.turbo.runlog import (
     SEND_RETRANSMIT as _SEND_RT,
     RunLog,
 )
-from repro.turbo.ticks import TickDomain
+from repro.turbo.ticks import TickDomain, column_overflow
 
 __all__ = [
     "TurboEnvironment",
@@ -542,17 +543,22 @@ class TurboEnvironment:
         return True
 
     def run(self, until: Any = None) -> None:
-        """Run to quiescence (the only mode postal runs need)."""
+        """Run to quiescence (the only mode postal runs need).  A value
+        past the log's int64 columns raises TickDomainError, checked
+        here once rather than per event."""
         if until is not None:
             raise SimulationError(
                 "the turbo engine only runs to quiescence; "
                 "use backend='exact' for bounded runs"
             )
-        while self._pending:
-            if self._heap_mode:
-                self._run_heap()
-                return
-            self._run_calendar_step()
+        try:
+            while self._pending:
+                if self._heap_mode:
+                    self._run_heap()
+                    return
+                self._run_calendar_step()
+        except OverflowError as exc:
+            raise column_overflow(self.domain.scale) from exc
 
 
 class TurboSystem:

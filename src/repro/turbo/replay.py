@@ -76,6 +76,7 @@ from repro.postal.machine import ContentionPolicy
 from repro.postal.message import Message
 from repro.sim.trace import Tracer
 from repro.turbo.columnar import PortView, count_metrics, port_views, tally
+from repro.turbo.ticks import column_overflow
 from repro.types import ProcId, Time, ZERO, time_repr
 
 __all__ = ["ReplaySystem", "replay_plan"]
@@ -94,19 +95,30 @@ def replay_plan(plan, *, policy: ContentionPolicy = ContentionPolicy.STRICT):
         A finished :class:`ReplaySystem` exposing the validator-facing
         surface of :class:`~repro.turbo.fastsim.TurboSystem`.
 
+    Raises:
+        TickDomainError: a realized tick does not fit the int64 columns.
+
     >>> from repro.plan import compile_plan
     >>> system = replay_plan(compile_plan("BCAST", 64, 1, "5/2"))
     >>> system.send_count
     63
     """
-    fast = replay_passes(plan, policy)
-    if fast is not None:
-        starts, order, arrivals, contended = fast
-        system = ReplaySystem(plan, policy, starts, arrivals, order)
-        if policy is not ContentionPolicy.STRICT:
-            system.queued_contention = contended
-        return system
+    passes = replay_passes(plan, policy)
+    if passes is None:
+        try:
+            passes = _python_passes(plan, policy)
+        except OverflowError:  # the kernels decline before they could wrap
+            raise column_overflow(plan.domain.scale) from None
+    starts, order, arrivals, contended = passes
+    system = ReplaySystem(plan, policy, starts, arrivals, order)
+    if policy is not ContentionPolicy.STRICT:
+        system.queued_contention = contended
+    return system
 
+
+def _python_passes(plan, policy: ContentionPolicy):
+    """The three passes in pure Python, returning what
+    :func:`~repro.batch.kernels.replay_passes` returns."""
     n = plan.n
     one = plan.domain.scale
     lat = plan.lam_ticks
@@ -135,6 +147,7 @@ def replay_plan(plan, *, policy: ContentionPolicy = ContentionPolicy.STRICT):
     arrivals = array("q", bytes(8 * E))
     recv_free = [0] * n
     woff = lat - one
+    contended = False
     if policy is ContentionPolicy.STRICT:
         to_time = plan.domain.to_time
         for i in order:
@@ -151,7 +164,6 @@ def replay_plan(plan, *, policy: ContentionPolicy = ContentionPolicy.STRICT):
             recv_free[d] = due
             arrivals[i] = due
     else:
-        contended = False
         for i in order:
             w = starts[i] + woff
             d = receivers[i]
@@ -163,11 +175,7 @@ def replay_plan(plan, *, policy: ContentionPolicy = ContentionPolicy.STRICT):
                 contended = True
             recv_free[d] = due
             arrivals[i] = due
-
-    system = ReplaySystem(plan, policy, starts, arrivals, array("q", order))
-    if policy is not ContentionPolicy.STRICT:
-        system.queued_contention = contended
-    return system
+    return starts, array("q", order), arrivals, contended
 
 
 class ReplaySystem:

@@ -11,6 +11,10 @@ exact rational times are recovered at the boundary with
 :meth:`TickDomain.to_time` — a *lossless* round trip, never a float
 approximation.
 
+Any positive scale is a domain (a float lambda such as ``2.1`` has
+``2**51``); the fast lanes' one limit is their int64 columns
+(:func:`column_overflow`).
+
 This is the arithmetic core of the ``backend="turbo"`` execution lane
 (:mod:`repro.turbo.fastsim`); :class:`TickDomain` itself is independent
 of the simulator and is also usable for tick-sweep schedule validation.
@@ -25,33 +29,20 @@ from typing import Iterable
 from repro.errors import TickDomainError
 from repro.types import Time, TimeLike, as_time
 
-__all__ = ["TickDomain", "lcm_denominator"]
-
-#: Refuse tick scales beyond this: a pathological mix of denominators
-#: (e.g. 1/999983 and 1/999979) would otherwise silently produce huge
-#: integers and lose the very speed the tick domain exists to buy.
-MAX_SCALE = 1 << 24
+__all__ = ["TickDomain", "column_overflow"]
 
 #: Entries :meth:`TickDomain.to_time` keeps per domain before it starts
 #: over.  A run touches few distinct ticks, so this rarely fills.
 _TIMES_MEMO = 4096
 
 
-def lcm_denominator(values: Iterable[TimeLike], *, limit: int = MAX_SCALE) -> int | None:
-    """The least common multiple of the denominators of *values*, or
-    ``None`` when it would exceed *limit*.
-
-    >>> lcm_denominator(["5/2", "7/3", 4])
-    6
-    >>> lcm_denominator([1, 2, 3])
-    1
-    """
-    scale = 1
-    for value in values:
-        scale = math.lcm(scale, as_time(value).denominator)
-        if scale > limit:
-            return None
-    return scale
+def column_overflow(scale: int) -> TickDomainError:
+    """The error a fast lane raises when a tick at *scale* ticks per
+    unit does not fit its ``array('q')`` columns."""
+    return TickDomainError(
+        f"a tick at tick scale {scale} passes the int64 columns of the "
+        "fast lanes; use the exact backend"
+    )
 
 
 class TickDomain:
@@ -76,28 +67,14 @@ class TickDomain:
     def __init__(self, scale: int = 1):
         if not isinstance(scale, int) or isinstance(scale, bool) or scale < 1:
             raise TickDomainError(f"tick scale must be a positive int, got {scale!r}")
-        if scale > MAX_SCALE:
-            raise TickDomainError(
-                f"tick scale {scale} exceeds the supported maximum {MAX_SCALE}"
-            )
         self.scale = scale
         self._times: dict[int, Time] = {}
 
     @classmethod
     def for_values(cls, values: Iterable[TimeLike]) -> "TickDomain":
         """The coarsest domain representing every value in *values* exactly
-        (scale = LCM of the values' denominators).
-
-        Raises:
-            TickDomainError: the LCM exceeds :data:`MAX_SCALE`.
-        """
-        scale = lcm_denominator(values)
-        if scale is None:
-            raise TickDomainError(
-                "the values' common denominator exceeds the supported tick "
-                f"scale {MAX_SCALE}; use the exact backend instead"
-            )
-        return cls(scale)
+        (scale = LCM of the values' denominators)."""
+        return cls(math.lcm(*(as_time(value).denominator for value in values)))
 
     # ------------------------------------------------------------ transport
 
@@ -134,10 +111,6 @@ class TickDomain:
                 times.clear()
             time = times[ticks] = Fraction(ticks, self.scale)
         return time
-
-    def representable(self, value: TimeLike) -> bool:
-        """True when *value* lies on this domain's grid."""
-        return (as_time(value).numerator * self.scale) % as_time(value).denominator == 0
 
     def __repr__(self) -> str:
         return f"TickDomain(scale={self.scale})"

@@ -309,12 +309,13 @@ def test_a_lowered_lemma5_bound_fails_both_ways_with_one_text(base, monkeypatch)
 @pytest.mark.parametrize("base", FUZZ_BASES, ids=lambda b: f"{b[0]}-{b[3]}")
 def test_both_paths_certify_the_same_arrivals(base, policy, monkeypatch):
     seen = []
-    monkeypatch.setattr(
-        columns, "check_informed_bound",
-        lambda lam, scale, arrived: seen.append(
-            (lam, scale, [sorted(ticks) for ticks in arrived])
-        ),
-    )
+    check = columns.check_informed_bound
+
+    def spy(lam, scale, arrived):
+        seen.append((lam, scale, [sorted(ticks) for ticks in arrived]))
+        return check(lam, scale, arrived)  # the last tick, for Lemma 8
+
+    monkeypatch.setattr(columns, "check_informed_bound", spy)
     run = _run(*base, policy=policy)
     assert _both_ways(run, monkeypatch) == (None, None)
     on, off = seen

@@ -15,8 +15,8 @@ Two layers, matching the two promises of :mod:`repro.turbo.replay`:
   exception type where the model itself raises.
 
 Plus unit tests for the calendar-queue scheduler (overflow, rebase,
-sparse fallback to heap mode), the columnar :class:`RunLog`, and the
-tick-domain boundaries at ``MAX_SCALE``.
+sparse fallback to heap mode), the columnar :class:`RunLog`, and tick
+domains at and past scale ``2**24``.
 """
 
 from array import array
@@ -28,7 +28,6 @@ from repro.conformance.oracles import families, get_oracle
 from repro.errors import (
     InvalidParameterError,
     SimultaneousIOError,
-    TickDomainError,
 )
 from repro.plan import compile_plan, plan_families, plan_m
 from repro.postal.machine import ContentionPolicy
@@ -44,10 +43,11 @@ from repro.turbo.runlog import (
     SEND_RETRANSMIT,
     RunLog,
 )
-from repro.turbo.ticks import MAX_SCALE
 from repro.types import as_time
 
-LAMBDAS = ["1", "3/2", "2", "5/2", "7/3", "4"]
+#: The coarse grids, then two fine ones: 1 + 1/(2**24 + 1) and the binary
+#: float 2.1 (denominator 2**51).
+LAMBDAS = ["1", "3/2", "2", "5/2", "7/3", "4", "16777218/16777217", 2.1]
 SIZES = [2, 3, 5, 8, 13]
 MCOUNTS = [1, 2, 3]
 
@@ -376,31 +376,37 @@ def test_runlog_order_by_tick_is_stable():
     assert [log.a[i] for i in order] == [1, 3, 0, 2]
 
 
-# ------------------------------------------------ tick-domain bounds
+# ------------------------------------------------ tick-domain scales
 
 
-def test_tick_domain_accepts_exactly_max_scale():
-    domain = TickDomain(MAX_SCALE)
-    one = Fraction(1, MAX_SCALE)
+SCALE_2_24 = 1 << 24
+
+
+def test_tick_domain_round_trips_at_scale_2_24():
+    domain = TickDomain(SCALE_2_24)
+    one = Fraction(1, SCALE_2_24)
     assert domain.to_time(domain.to_ticks(one)) == one
 
 
-def test_tick_domain_rejects_one_over_max_scale():
-    with pytest.raises(TickDomainError):
-        TickDomain(MAX_SCALE + 1)
+def test_tick_domain_round_trips_one_past_scale_2_24():
+    domain = TickDomain(SCALE_2_24 + 1)
+    one = Fraction(1, SCALE_2_24 + 1)
+    assert domain.to_time(domain.to_ticks(one)) == one
 
 
-def test_for_values_rejects_mixed_denominator_lcm_overflow():
-    """Each denominator fits, but their LCM overflows the grid — the
-    domain must refuse loudly instead of silently rounding."""
-    values = [Fraction(1, 3), Fraction(1, 1 << 23)]  # lcm = 3 * 2**23
-    with pytest.raises(TickDomainError, match="scale"):
-        TickDomain.for_values(values)
+def test_for_values_takes_the_mixed_denominator_lcm():
+    """Each denominator alone is coarser than the grid both need: the
+    domain takes their LCM and represents both exactly."""
+    values = [Fraction(1, 3), Fraction(1, 1 << 23)]
+    domain = TickDomain.for_values(values)
+    assert domain.scale == 3 << 23
+    for v in values:
+        assert domain.to_time(domain.to_ticks(v)) == v
 
 
-def test_for_values_at_max_scale_round_trips():
+def test_for_values_at_scale_2_24_round_trips():
     values = [Fraction(1, 1 << 12), Fraction(1, 1 << 24)]
     domain = TickDomain.for_values(values)
-    assert domain.scale == MAX_SCALE
+    assert domain.scale == SCALE_2_24
     for v in values:
         assert domain.to_time(domain.to_ticks(v)) == v

@@ -13,7 +13,9 @@ asserts equality of:
 
 Runs where the model itself raises (e.g. strict-policy collisions) must
 raise the *same exception type* on both lanes.  Plus unit tests for the
-tick domain itself (lossless round trip, off-grid rejection).
+tick domain itself (lossless round trip, off-grid rejection), the
+fixed-grid decision (a pair latency or timeout off the run's grid raises
+on turbo and runs on exact).
 """
 
 from collections import Counter
@@ -25,13 +27,15 @@ from repro.conformance.oracles import families, get_oracle
 from repro.errors import SimultaneousIOError, TickDomainError
 from repro.postal.machine import ContentionPolicy
 from repro.postal.runner import run_protocol
-from repro.turbo import TickDomain, lcm_denominator
+from repro.turbo import TickDomain
 from repro.types import as_time
 
-#: Latencies: integer, half-integer, and the coarse rationals the issue
-#: calls out (5/2 is the paper's running example; 7/3 exercises a
-#: denominator that is not a power of two).
-LAMBDAS = ["1", "3/2", "2", "5/2", "7/3", "4"]
+#: Latencies: integer, half-integer, the coarse rationals (5/2 is the
+#: paper's running example; 7/3 exercises a denominator that is not a
+#: power of two), and two fine grids: 1 + 1/(2**24 + 1), and the binary
+#: float 2.1, whose exact value has denominator 2**51 (the string "2.1"
+#: would be 21/10).
+LAMBDAS = ["1", "3/2", "2", "5/2", "7/3", "4", "16777218/16777217", 2.1]
 
 #: Machine sizes around the jumps of ``F_lambda``.
 SIZES = [2, 3, 5, 8, 13]
@@ -141,24 +145,69 @@ def test_queued_collider_agrees(lam):
     assert results["exact"] == results["turbo"]
 
 
-def test_off_grid_latency_raises_tick_domain_error():
-    """A latency whose denominator exceeds the supported scale cannot be
-    represented in ticks; turbo refuses instead of degrading."""
-    huge = (1 << 25) + 1  # denominator LCM above MAX_SCALE = 2**24
-
-    class _Proto(_ColliderProtocol):
-        def __init__(self):
-            super().__init__(lam=Fraction(huge, 1 << 25))
-
-    with pytest.raises(TickDomainError):
-        run_protocol(
-            _Proto(), policy=ContentionPolicy.QUEUED, backend="turbo"
+def test_fine_grid_latency_agrees_with_exact():
+    """A latency with denominator 2**25 runs on turbo at that tick scale
+    and serializes the queued collision exactly as the exact lane does."""
+    lam = Fraction((1 << 25) + 1, 1 << 25)
+    results = {}
+    for backend in ("exact", "turbo"):
+        res = run_protocol(
+            _ColliderProtocol(lam), policy=ContentionPolicy.QUEUED,
+            backend=backend,
         )
-    # the exact lane handles the same latency fine
-    res = run_protocol(
-        _Proto(), policy=ContentionPolicy.QUEUED, backend="exact"
-    )
-    assert res.sends == 2
+        results[backend] = (res.completion_time, res.sends, res.metrics)
+    assert results["exact"] == results["turbo"]
+    assert results["turbo"][:2] == (lam + 1, 2)
+    assert res.system.domain.scale == 1 << 25
+
+
+class _PairLatencyProtocol(_ColliderProtocol):
+    """p0 sends to p1 over a link of latency 5/2 on a lambda = 1 machine
+    (tick scale 1)."""
+
+    def __init__(self):
+        super().__init__(lam=1)
+
+    @staticmethod
+    def latency_fn(src, dst):
+        return Fraction(5, 2)
+
+    def program(self, proc, system):
+        if proc == 0:
+            def prog():
+                yield system.send(0, 1, 0)
+
+            return prog()
+        return None
+
+
+class _TimeoutProtocol(_ColliderProtocol):
+    """p0 waits 1/3 of a unit, off the lambda = 2 grid, then sends."""
+
+    def program(self, proc, system):
+        if proc == 0:
+            def prog():
+                yield system.env.timeout(Fraction(1, 3))
+                yield system.send(0, 1, 0)
+
+            return prog()
+        return None
+
+
+def test_off_grid_latency_raises_tick_domain_error():
+    """The turbo grid is fixed when the run starts: a pair latency off it
+    raises instead of rescaling, and the exact lane runs it."""
+    with pytest.raises(TickDomainError, match="5/2 is not representable"):
+        run_protocol(_PairLatencyProtocol(), backend="turbo", validate=False)
+    res = run_protocol(_PairLatencyProtocol(), backend="exact", validate=False)
+    assert res.completion_time == Fraction(5, 2)
+
+
+def test_off_grid_timeout_raises_tick_domain_error():
+    with pytest.raises(TickDomainError, match="1/3 is not representable"):
+        run_protocol(_TimeoutProtocol(), backend="turbo", validate=False)
+    res = run_protocol(_TimeoutProtocol(), backend="exact", validate=False)
+    assert res.completion_time == Fraction(1, 3) + 2
 
 
 def _waiters_scenario(system):
@@ -257,6 +306,9 @@ def test_tick_domain_rejects_off_grid_values():
         domain.to_ticks(as_time("1/2"))
 
 
-def test_lcm_denominator_caps_at_limit():
-    assert lcm_denominator([Fraction(1, 3), Fraction(1, 4)]) == 12
-    assert lcm_denominator([Fraction(1, (1 << 25))]) is None
+def test_for_values_scale_is_the_lcm_of_denominators():
+    assert TickDomain.for_values([Fraction(1, 3), Fraction(1, 4)]).scale == 12
+    fine = Fraction(1, 1 << 25)
+    domain = TickDomain.for_values([fine])
+    assert domain.scale == 1 << 25
+    assert domain.to_time(domain.to_ticks(fine)) == fine
