@@ -444,10 +444,10 @@ def count_columns(n: int, senders, receivers, starts, arrivals):
     """The counts behind a run's :class:`~repro.obs.metrics.RunMetrics`,
     from whole columns, or ``None`` to count in Python.
 
-    Returns ``(sends, receives, by_latency)``: per-processor send and
-    receive counts (``np.bincount``) and the sorted ``(arrival - start,
-    count)`` pairs (``np.unique``) — what
-    :func:`~repro.turbo.columnar.tally` counts row by row.  ``None``
+    Returns ``(sends, receives, by_latency)``: the per-processor send
+    and receive count tuples (``np.bincount``) that the metrics store,
+    and the sorted ``(arrival - start, count)`` pairs (``np.unique``) —
+    what :func:`~repro.turbo.columnar.tally` counts row by row.  ``None``
     when NumPy is unavailable or disabled, a column is not
     ``array('q')``, the columns are empty or unequal, or a processor or
     tick is out of range.
@@ -464,7 +464,7 @@ def count_columns(n: int, senders, receivers, starts, arrivals):
         return None
     latencies, counts = np.unique(a - t, return_counts=True)
     return (
-        np.bincount(s, minlength=n).tolist(),
-        np.bincount(r, minlength=n).tolist(),
+        tuple(np.bincount(s, minlength=n).tolist()),
+        tuple(np.bincount(r, minlength=n).tolist()),
         list(zip(latencies.tolist(), counts.tolist())),
     )

@@ -575,7 +575,10 @@ def bench_replay(*, n: int = REPLAY_GATE_N, lam: Time = _LAM) -> dict:
     call: the exact engine, the turbo event loop, and
     ``backend="replay"`` executing the compiled plan as batched column
     passes; and ``kernel_s``, bare :func:`~repro.turbo.replay.
-    replay_plan` on the same warm plan.  ``compile_s`` records plan
+    replay_plan` on the same warm plan.  ``audit_s`` and ``metrics_s``
+    time two stages of the call, ``system.audit()`` and
+    ``system.run_metrics()``, on the kernel's last replay; no gate
+    reads them.  ``compile_s`` records plan
     compilation separately (steady-state replays hit the plan cache, so
     the per-run numbers are measured warm — same convention as
     :func:`bench_plan_layer`'s ``plan_cached_s`` row).  Two gates:
@@ -599,7 +602,9 @@ def bench_replay(*, n: int = REPLAY_GATE_N, lam: Time = _LAM) -> dict:
             f"(exact {sends}, replay {replay_sends})"
         )
     plan = build_plan("BCAST", n, 1, lam)  # the replay calls' cached plan
-    kernel_s, _ = _best_of(lambda _: replay_plan(plan))
+    kernel_s, system = _best_of(lambda _: replay_plan(plan))
+    audit_s, _ = _best_of(lambda _: system.audit())
+    metrics_s, _ = _best_of(lambda _: system.run_metrics())
     speedup = _ratio(exact_s, replay_s)
     tail = _ratio(replay_s, kernel_s)
     kernels = kernels_enabled()
@@ -615,6 +620,8 @@ def bench_replay(*, n: int = REPLAY_GATE_N, lam: Time = _LAM) -> dict:
         "turbo_s": round(turbo_s, 6),
         "replay_s": round(replay_s, 6),
         "kernel_s": round(kernel_s, 6),
+        "audit_s": round(audit_s, 6),
+        "metrics_s": round(metrics_s, 6),
         "compile_s": round(compile_s, 6),
         "speedup": round(speedup, 3),
         "turbo_ratio": round(_ratio(turbo_s, replay_s), 3),
@@ -639,20 +646,22 @@ def _report_replay(section: dict) -> "list[str]":
         f"turbo {section['turbo_s']:.4f}s, replay "
         f"{section['replay_s']:.4f}s) [{_verdict(gate['speedup_ok'])}]"
     ]
+    stages = (
+        f"call {section['replay_s']:.4f}s, kernel {section['kernel_s']:.4f}s, "
+        f"audit {section['audit_s']:.4f}s, metrics {section['metrics_s']:.4f}s"
+    )
     if section["kernels"]:
         lines.append(
             f"tail gate: default replay call <= "
             f"{gate['max_tail_over_kernel']:.0f}x its NumPy kernel for "
             f"BCAST at n={section['n']:,} — measured "
-            f"{section['tail_over_kernel']:.2f}x (call "
-            f"{section['replay_s']:.4f}s, kernel {section['kernel_s']:.4f}s) "
+            f"{section['tail_over_kernel']:.2f}x ({stages}) "
             f"[{_verdict(gate['tail_ok'])}]"
         )
     else:
         lines.append(
             f"tail gate: NumPy kernels off — the Python passes are no bar "
-            f"for the tail (call {section['replay_s']:.4f}s, kernel "
-            f"{section['kernel_s']:.4f}s) [SKIP]"
+            f"for the tail ({stages}) [SKIP]"
         )
     return lines
 

@@ -31,7 +31,8 @@ cross-checks).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.sim.trace import TraceRecord, Tracer
@@ -60,6 +61,12 @@ class RunMetrics:
     sequences are indexed by processor id.  Two runs of the same
     deterministic protocol produce *equal* ``RunMetrics`` (asserted in the
     test suite).
+
+    The per-processor busy times and utilizations are functions of
+    ``sends``, ``receives`` and ``makespan``, so they are no fields:
+    each is built on first read and cached.  ``==``, ``hash``,
+    ``repr`` and pickling see the fields alone; :meth:`to_dict` lists
+    all four.
     """
 
     n: int
@@ -71,10 +78,6 @@ class RunMetrics:
     total_drops: int
     sends: tuple[int, ...]
     receives: tuple[int, ...]
-    send_busy: tuple[Time, ...]
-    recv_busy: tuple[Time, ...]
-    send_utilization: tuple[Time, ...]
-    recv_utilization: tuple[Time, ...]
     inbox_high_water: tuple[int, ...]
     inbox_residual: tuple[int, ...]
     latency_histogram: tuple[tuple[Time, int], ...]
@@ -82,6 +85,38 @@ class RunMetrics:
     max_latency: Time | None
     mean_latency: Time | None
     max_inbox_wait: Time | None
+
+    def __reduce__(self):
+        # the derived tuples are a cache: a pickle carries the fields only
+        return (type(self), tuple(getattr(self, f.name) for f in fields(self)))
+
+    # ---------------------------------------------------- derived on read
+
+    @cached_property
+    def send_busy(self) -> tuple[Time, ...]:
+        """Each send port's busy time: one unit per send (Definition 1)."""
+        return tuple(map(Time, self.sends))
+
+    @cached_property
+    def recv_busy(self) -> tuple[Time, ...]:
+        """Each receive port's busy time: one unit per delivery."""
+        return tuple(map(Time, self.receives))
+
+    @cached_property
+    def send_utilization(self) -> tuple[Time, ...]:
+        """Send busy time over the makespan (``ZERO`` at makespan 0)."""
+        return self._utilization(self.send_busy)
+
+    @cached_property
+    def recv_utilization(self) -> tuple[Time, ...]:
+        """Receive busy time over the makespan (``ZERO`` at makespan 0)."""
+        return self._utilization(self.recv_busy)
+
+    def _utilization(self, busy: tuple[Time, ...]) -> tuple[Time, ...]:
+        makespan = self.makespan
+        if not makespan:
+            return (ZERO,) * len(busy)
+        return tuple(b / makespan for b in busy)
 
     # ------------------------------------------------------------ queries
 
@@ -231,17 +266,8 @@ class MetricsCollector:
     def finalize(self, *, n: int, lam: Time | None = None) -> RunMetrics:
         """Freeze the counters into a :class:`RunMetrics` for an
         ``n``-processor machine with nominal latency *lam*."""
-        makespan = self._makespan
         sends = _per_proc(self._sends, n, 0)
         recvs = _per_proc(self._recvs, n, 0)
-        send_busy = tuple(Time(c) for c in sends)
-        recv_busy = tuple(Time(c) for c in recvs)
-        if makespan > 0:
-            send_util = tuple(b / makespan for b in send_busy)
-            recv_util = tuple(b / makespan for b in recv_busy)
-        else:
-            send_util = tuple(ZERO for _ in range(n))
-            recv_util = tuple(ZERO for _ in range(n))
         total_sends = sum(sends)
         total_deliveries = sum(recvs)
         total_consumed = sum(self._consumed.values())
@@ -254,17 +280,13 @@ class MetricsCollector:
         return RunMetrics(
             n=n,
             lam=lam,
-            makespan=makespan,
+            makespan=self._makespan,
             total_sends=total_sends,
             total_deliveries=total_deliveries,
             total_consumed=total_consumed,
             total_drops=self._drops,
             sends=sends,
             receives=recvs,
-            send_busy=send_busy,
-            recv_busy=recv_busy,
-            send_utilization=send_util,
-            recv_utilization=recv_util,
             inbox_high_water=_per_proc(self._high_water, n, 0),
             inbox_residual=_per_proc(self._depth, n, 0),
             latency_histogram=tuple(

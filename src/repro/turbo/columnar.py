@@ -27,14 +27,12 @@ events only when read.
 from __future__ import annotations
 
 from collections import Counter, deque
-from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.obs.metrics import RunMetrics
 from repro.turbo.runlog import CONSUME, DELIVER, RunLog
 from repro.turbo.ticks import TickDomain
-from repro.types import ProcId, Time, ZERO
+from repro.types import ProcId, Time
 
 __all__ = [
     "PortView",
@@ -49,10 +47,11 @@ def tally(
     senders: Iterable[ProcId],
     receivers: Iterable[ProcId],
     latencies: Iterable[int],
-) -> "tuple[list[int], list[int], list[tuple[int, int]]]":
+) -> "tuple[tuple[int, ...], tuple[int, ...], list[tuple[int, int]]]":
     """A run's counts, row by row: the sends and receives of every
     processor, and the sorted ``(latency ticks, count)`` pairs of its
-    deliveries — the inputs of :func:`count_metrics`.
+    deliveries — the inputs of :func:`count_metrics`.  The two
+    per-processor tuples are the ones the metrics store.
 
     Args:
         senders: the sender of every send.
@@ -65,15 +64,15 @@ def tally(
     got = [0] * n
     for p in receivers:
         got[p] += 1
-    return sent, got, sorted(Counter(latencies).items())
+    return tuple(sent), tuple(got), sorted(Counter(latencies).items())
 
 
 def count_metrics(
     n: int,
     lam: Time,
     domain: TickDomain,
-    sends: Sequence[int],
-    receives: Sequence[int],
+    sends: "tuple[int, ...]",
+    receives: "tuple[int, ...]",
     by_latency: "Sequence[tuple[int, int]]",
     makespan: Time,
     *,
@@ -83,7 +82,8 @@ def count_metrics(
 
     Args:
         n / lam / domain: the machine and its tick grid.
-        sends / receives: each processor's send and delivery counts.
+        sends / receives: each processor's send and delivery counts,
+            stored as given.
         by_latency: the sorted ``(arrival - start ticks, count)`` pairs
             of the deliveries (:func:`tally` counts all three).
         makespan: the last arrival.
@@ -98,15 +98,7 @@ def count_metrics(
     Equal, field for field, to folding the run's trace through a
     :class:`~repro.obs.metrics.MetricsCollector`.
     """
-    sends, receives = tuple(sends), tuple(receives)
     deliveries = sum(receives)
-    # one Fraction per distinct count, in tables indexed by the count
-    distinct = {*sends, *receives}
-    busy: list = [None] * (max(distinct, default=0) + 1)
-    util = busy[:]
-    for c in distinct:
-        busy[c] = b = Fraction(c)
-        util[c] = b / makespan if makespan else ZERO
     to_time = domain.to_time
     histogram = tuple((to_time(lat), count) for lat, count in by_latency)
 
@@ -144,17 +136,13 @@ def count_metrics(
         total_drops=0,
         sends=sends,
         receives=receives,
-        send_busy=_per_processor(busy, sends),
-        recv_busy=_per_processor(busy, receives),
-        send_utilization=_per_processor(util, sends),
-        recv_utilization=_per_processor(util, receives),
         inbox_high_water=high_water,
         inbox_residual=residual,
         latency_histogram=histogram,
         min_latency=histogram[0][0] if histogram else None,
         max_latency=histogram[-1][0] if histogram else None,
         mean_latency=(
-            Fraction(
+            Time(
                 sum(lat * count for lat, count in by_latency),
                 domain.scale * deliveries,
             )
@@ -163,13 +151,6 @@ def count_metrics(
         ),
         max_inbox_wait=max_wait,
     )
-
-
-def _per_processor(table: list, counts: "tuple[int, ...]") -> tuple:
-    """``table[c]`` for every count *c*, as a tuple."""
-    if len(counts) < 2:  # itemgetter of one index returns the bare item
-        return tuple(table[c] for c in counts)
-    return itemgetter(*counts)(table)
 
 
 class PortView:

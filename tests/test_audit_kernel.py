@@ -394,6 +394,7 @@ def test_run_metrics_match_with_kernels_off(family, policy, monkeypatch):
         a, b = getattr(on, field.name), getattr(off, field.name)
         assert a == b and type(a) is type(b), field.name
     assert repr(on) == repr(off)  # no NumPy scalar inside a tuple
+    assert on.to_dict() == off.to_dict()  # the busy and utilization tuples
 
 
 def test_run_metrics_over_list_columns_count_in_python():

@@ -192,6 +192,9 @@ def test_bench_replay_records_the_tail_gate():
     gate = section["gate"]
     assert gate["max_tail_over_kernel"] == REPLAY_TAIL_GATE_MAX == 10.0
     assert section["kernel_s"] > 0
+    # two stages of the call, on the same warm replay; no gate reads them
+    assert section["audit_s"] > 0 and section["metrics_s"] > 0
+    assert "audit_s" not in gate and "metrics_s" not in gate
     assert section["kernels"] is kernels_enabled()
     # both times are rounded to 6 places, a few percent of 0.1 ms
     assert section["tail_over_kernel"] == pytest.approx(
@@ -204,6 +207,8 @@ def test_bench_replay_records_the_tail_gate():
     assert lines[0].startswith("replay gate: replay >= 20x exact")
     assert lines[1].startswith("tail gate: ")
     assert lines[1].endswith("[SKIP]") != kernels_enabled()
+    assert f"audit {section['audit_s']:.4f}s" in lines[1]
+    assert f"metrics {section['metrics_s']:.4f}s" in lines[1]
 
 
 def test_profile_case_writes_pstats_and_table(tmp_path):

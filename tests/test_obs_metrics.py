@@ -1,12 +1,15 @@
 """Tests for the observability metrics layer (repro.obs.metrics).
 
 Covers: exact-Fraction metric values against closed forms, determinism of
-repeated runs, the consume/drop trace kinds, collector lifecycle, and the
+repeated runs, the busy and utilization tuples derived on first read (on
+every lane), the consume/drop trace kinds, collector lifecycle, and the
 docs <-> code schema-sync contract (every kind in TRACE_KINDS is both
 documented in docs/observability.md and exercised by a run).
 """
 
+import dataclasses
 import pathlib
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -18,6 +21,7 @@ from repro.algorithms.repeat_protocol import RepeatProtocol
 from repro.core.analysis import bcast_time, pipeline_time
 from repro.extensions.faulty import LossyPostalSystem
 from repro.obs import MetricsCollector, collect_metrics
+from repro.postal.machine import ContentionPolicy
 from repro.postal.runner import run_protocol
 from repro.sim.engine import Environment
 from repro.sim.trace import TRACE_KINDS, Tracer
@@ -117,6 +121,101 @@ class TestDeterminism:
     def test_collect_false_skips(self):
         result = run_protocol(BcastProtocol(5, 2), collect=False)
         assert result.metrics is None
+
+
+#: (family, n, m, lambda): every lane and policy runs each point; at
+#: n = 1 nothing is sent and the makespan is 0
+DERIVED_GRID = [
+    ("BCAST", 9, 1, "5/2"),
+    ("PIPELINE", 9, 3, "5/2"),
+    ("ALLGATHER", 6, 1, "7/3"),
+    ("BCAST", 1, 1, "2"),
+    ("PIPELINE", 1, 2, "2"),
+    ("ALLGATHER", 1, 1, "2"),
+]
+DERIVED = ("send_busy", "recv_busy", "send_utilization", "recv_utilization")
+
+
+def _eager(metrics):
+    """The four tuples by their defining formula, built eagerly."""
+    makespan = metrics.makespan
+    send_busy = tuple(Time(c) for c in metrics.sends)
+    recv_busy = tuple(Time(c) for c in metrics.receives)
+    if makespan > 0:
+        send_util = tuple(b / makespan for b in send_busy)
+        recv_util = tuple(b / makespan for b in recv_busy)
+    else:
+        send_util = recv_util = tuple(Fraction(0) for _ in range(metrics.n))
+    return dict(zip(DERIVED, (send_busy, recv_busy, send_util, recv_util)))
+
+
+@pytest.mark.parametrize("backend", ["exact", "turbo", "replay"])
+@pytest.mark.parametrize(
+    "policy",
+    [ContentionPolicy.STRICT, ContentionPolicy.QUEUED],
+    ids=lambda p: p.value,
+)
+@pytest.mark.parametrize(
+    "point", DERIVED_GRID, ids=lambda p: f"{p[0]}-n{p[1]}-m{p[2]}"
+)
+class TestDerivedTuples:
+    """``send_busy``, ``recv_busy`` and the two utilizations are built
+    on first read, and reading them changes nothing a caller compares."""
+
+    @staticmethod
+    def _run(point, policy, backend):
+        family, n, m, lam = point
+        return run_protocol(
+            family, n=n, m=m, lam=lam, policy=policy, backend=backend
+        ).metrics
+
+    def test_each_tuple_equals_the_eager_formula(self, point, policy, backend):
+        metrics = self._run(point, policy, backend)
+        assert not set(DERIVED) & vars(metrics).keys()  # none built yet
+        for name, want in _eager(metrics).items():
+            got = getattr(metrics, name)
+            assert type(got) is tuple and len(got) == metrics.n, name
+            for a, b in zip(got, want):
+                assert a == b and type(a) is Fraction, name
+            assert getattr(metrics, name) is got  # cached
+        if point[1] == 1:
+            assert metrics.makespan == 0
+            assert metrics.send_utilization == metrics.recv_utilization == (0,)
+
+    def test_reading_the_tuples_changes_no_comparison(
+        self, point, policy, backend
+    ):
+        unread, read = (self._run(point, policy, backend) for _ in range(2))
+        for name in DERIVED:
+            getattr(read, name)
+        assert unread == read and hash(unread) == hash(read)
+        assert repr(unread) == repr(read)
+        assert not set(DERIVED) & vars(unread).keys()
+        assert unread.to_dict() == read.to_dict()
+
+    def test_pickle_and_replace_give_equal_objects(self, point, policy, backend):
+        metrics = self._run(point, policy, backend)
+        want = _eager(metrics)
+        unread_pickle = pickle.dumps(metrics)
+        for read in (False, True):
+            if read:
+                for name in DERIVED:
+                    getattr(metrics, name)
+                # the cache stays out of the pickle
+                assert pickle.dumps(metrics) == unread_pickle
+            for copy in (
+                pickle.loads(pickle.dumps(metrics)),
+                dataclasses.replace(metrics),
+            ):
+                assert copy == metrics and hash(copy) == hash(metrics)
+                assert copy.to_dict() == metrics.to_dict()
+        # a replaced field is read afresh, not from the original's cache
+        doubled = dataclasses.replace(metrics, makespan=2 * metrics.makespan)
+        assert doubled.send_busy == want["send_busy"]
+        if metrics.makespan:
+            assert doubled.send_utilization == tuple(
+                u / 2 for u in want["send_utilization"]
+            )
 
 
 class TestCollectorLifecycle:

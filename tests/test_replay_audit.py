@@ -335,6 +335,11 @@ def test_columnar_metrics_equal_the_trace_fold_and_turbo(family, lam_str):
                         assert getattr(metrics, f.name) == getattr(
                             turbo.metrics, f.name
                         ), f"{ctx}: {f.name}"
+                # to_dict() also lists the busy and utilization tuples
+                mine, theirs = metrics.to_dict(), turbo.metrics.to_dict()
+                for name in CONSUME_FIELDS:
+                    del mine[name], theirs[name]
+                assert mine == theirs, ctx
                 assert metrics.total_consumed == 0, ctx
                 assert metrics.max_inbox_wait is None, ctx
                 assert (
