@@ -9,7 +9,8 @@ lines the CLI prints.  Every section carries a ``gate`` block whose
 
 * ``cases`` — the case grid (:func:`bench_grid`) timed on the exact,
   turbo and replay lanes, with the turbo gate at :data:`GATE_CASE` and
-  the collective gate at :data:`COLLECTIVE_GATE_CASE`;
+  the collective gate at :data:`COLLECTIVE_GATE_CASE`, and the exact
+  call's audit and metrics stages at :data:`GATE_CASE`;
 * ``plan`` — columnar plan construction against the event-object
   builder (:func:`bench_plan_layer`);
 * ``replay`` — the replay lane against the exact engine at BCAST
@@ -401,15 +402,40 @@ def _speedup_gate(
 def bench_cases(mode: str = "smoke") -> dict:
     """The ``cases`` section: every case of the *mode* grid
     (:func:`run_case`, serially), the turbo gate at :data:`GATE_CASE`
-    and the collective gate at :data:`COLLECTIVE_GATE_CASE`."""
+    and the collective gate at :data:`COLLECTIVE_GATE_CASE`, and two
+    stages of the exact call at the gate case (:func:`_exact_stages`)."""
     from repro.batch.kernels import kernels_enabled
 
     # import NumPy before any case is timed, so no first replay pays for it
     kernels_enabled()
-    return _cases_section([run_case(case) for case in bench_grid(mode)])
+    grid = bench_grid(mode)
+    results = [run_case(case) for case in grid]
+    gate_case = next(c for c in grid if (c.family, c.n) == GATE_CASE)
+    return _cases_section(results, _exact_stages(gate_case))
 
 
-def _cases_section(results: "Sequence[BenchResult]") -> dict:
+def _exact_stages(case: BenchCase) -> dict:
+    """Two stages of the default exact call at *case*, each timed by
+    :func:`_best_of` on one finished run: ``audit_s``, the trace audit
+    (:func:`~repro.postal.validator.validate_run`), and ``metrics_s``,
+    the trace fold (:func:`~repro.obs.metrics.collect_metrics`).  No
+    gate reads them."""
+    from repro.obs.metrics import collect_metrics
+    from repro.postal.runner import run_protocol
+    from repro.postal.validator import validate_run
+
+    system = run_protocol(case.protocol(), validate=False, collect=False).system
+    audit_s, _ = _best_of(lambda _: validate_run(system, m=case.m))
+    metrics_s, _ = _best_of(lambda _: collect_metrics(system))
+    return {
+        "family": case.family,
+        "n": case.n,
+        "audit_s": round(audit_s, 6),
+        "metrics_s": round(metrics_s, 6),
+    }
+
+
+def _cases_section(results: "Sequence[BenchResult]", stages: dict) -> dict:
     turbo = _speedup_gate(results, GATE_CASE, GATE_MIN_SPEEDUP)
     collective = _speedup_gate(
         results, COLLECTIVE_GATE_CASE, COLLECTIVE_GATE_MIN_SPEEDUP
@@ -430,6 +456,7 @@ def _cases_section(results: "Sequence[BenchResult]") -> dict:
             }
             for r in results
         ],
+        "exact_stages": stages,
         "gate": {
             "turbo": turbo,
             "collective": collective,
@@ -461,7 +488,10 @@ def _report_cases(section: dict) -> "list[str]":
     )
     turbo = section["gate"]["turbo"]
     collective = section["gate"]["collective"]
+    stages = section["exact_stages"]
     return table.splitlines() + [
+        f"exact call stages at {stages['family']} n={stages['n']:,}: "
+        f"audit {stages['audit_s']:.4f}s, metrics {stages['metrics_s']:.4f}s",
         f"gate: turbo >= {turbo['min_speedup']:.0f}x exact for "
         f"{turbo['family']} at n={turbo['n']:,} — measured "
         f"{turbo['speedup']:.2f}x [{_verdict(turbo['ok'])}]",

@@ -1,10 +1,13 @@
 """Run metrics, computed live from the trace stream.
 
 A :class:`MetricsCollector` subscribes to a
-:class:`~repro.sim.trace.Tracer` and folds every record into exact
-per-processor counters; :meth:`MetricsCollector.finalize` freezes them
-into a :class:`RunMetrics` summary.  All arithmetic is
-:class:`fractions.Fraction`-exact, so the summary quantities compare
+:class:`~repro.sim.trace.Tracer` and folds every record into
+per-processor integer counters, keeping each delivery's send and arrival
+times and each consumption's wait as they come;
+:meth:`MetricsCollector.finalize` converts those times once to exact
+integer ticks (at the least scale that holds them all) and freezes the
+whole into a :class:`RunMetrics` summary.  The summary's times are exact
+:class:`fractions.Fraction`\\ s, one per distinct value, so they compare
 against the paper's closed forms with ``==``:
 
 * **makespan** — arrival of the last message, the paper's ``T_A(n, m,
@@ -31,8 +34,13 @@ cross-checks).
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass, fields
+from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from operator import sub
 from typing import TYPE_CHECKING, Any, Mapping
 
 from repro.sim.trace import TraceRecord, Tracer
@@ -197,11 +205,10 @@ class MetricsCollector:
         self._drops = 0
         self._depth: dict[int, int] = {}
         self._high_water: dict[int, int] = {}
-        self._latency: dict[Time, int] = {}
-        self._latency_sum: Time = ZERO
-        self._latency_count = 0
-        self._max_wait: Time | None = None
-        self._makespan: Time = ZERO
+        # times as traced; finalize converts them to ticks once
+        self._sent_at: list[Time] = []
+        self._arrived_at: list[Time] = []
+        self._waited: list[Time] = []
 
     # -------------------------------------------------------- subscription
 
@@ -244,19 +251,14 @@ class MetricsCollector:
             self._depth[dst] = depth
             if depth > self._high_water.get(dst, 0):
                 self._high_water[dst] = depth
-            latency = msg.arrived_at - msg.sent_at
-            self._latency[latency] = self._latency.get(latency, 0) + 1
-            self._latency_sum += latency
-            self._latency_count += 1
-            if msg.arrived_at > self._makespan:
-                self._makespan = msg.arrived_at
+            self._sent_at.append(msg.sent_at)
+            self._arrived_at.append(msg.arrived_at)
         elif kind == "consume":
-            proc = rec.data["proc"]
+            data = rec.data
+            proc = data["proc"]
             self._consumed[proc] = self._consumed.get(proc, 0) + 1
             self._depth[proc] = self._depth.get(proc, 0) - 1
-            waited = rec.data["waited"]
-            if self._max_wait is None or waited > self._max_wait:
-                self._max_wait = waited
+            self._waited.append(data["waited"])
         elif kind == "drop":
             self._drops += 1
         # unknown kinds are ignored: forward-compatible with extensions
@@ -265,37 +267,44 @@ class MetricsCollector:
 
     def finalize(self, *, n: int, lam: Time | None = None) -> RunMetrics:
         """Freeze the counters into a :class:`RunMetrics` for an
-        ``n``-processor machine with nominal latency *lam*."""
+        ``n``-processor machine with nominal latency *lam*.
+
+        The kept times are converted to ticks here, on every call, so a
+        later call also counts the records folded since."""
         sends = _per_proc(self._sends, n, 0)
         recvs = _per_proc(self._recvs, n, 0)
-        total_sends = sum(sends)
-        total_deliveries = sum(recvs)
-        total_consumed = sum(self._consumed.values())
-        latencies = sorted(self._latency)
-        mean = (
-            self._latency_sum / self._latency_count
-            if self._latency_count
-            else None
+        # every time at one scale, the least that holds them all
+        times = (self._sent_at, self._arrived_at, self._waited)
+        scale = math.lcm(*{t.denominator for t in chain(*times)})
+        sent, arrived, waits = (
+            [t.numerator * (scale // t.denominator) for t in column]
+            for column in times
+        )
+        latency = Counter(map(sub, arrived, sent))
+        histogram = tuple(
+            (Fraction(tick, scale), latency[tick]) for tick in sorted(latency)
         )
         return RunMetrics(
             n=n,
             lam=lam,
-            makespan=self._makespan,
-            total_sends=total_sends,
-            total_deliveries=total_deliveries,
-            total_consumed=total_consumed,
+            makespan=Fraction(max([0, *arrived]), scale),
+            total_sends=sum(sends),
+            total_deliveries=sum(recvs),
+            total_consumed=sum(self._consumed.values()),
             total_drops=self._drops,
             sends=sends,
             receives=recvs,
             inbox_high_water=_per_proc(self._high_water, n, 0),
             inbox_residual=_per_proc(self._depth, n, 0),
-            latency_histogram=tuple(
-                (latency, self._latency[latency]) for latency in latencies
+            latency_histogram=histogram,
+            min_latency=histogram[0][0] if histogram else None,
+            max_latency=histogram[-1][0] if histogram else None,
+            mean_latency=(
+                Fraction(sum(arrived) - sum(sent), scale * len(arrived))
+                if arrived
+                else None
             ),
-            min_latency=latencies[0] if latencies else None,
-            max_latency=latencies[-1] if latencies else None,
-            mean_latency=mean,
-            max_inbox_wait=self._max_wait,
+            max_inbox_wait=Fraction(max(waits), scale) if waits else None,
         )
 
 

@@ -10,6 +10,13 @@ independent record of what the simulation actually did.  These trace
 checks are the exact lane's witness: they read the machine's records,
 not the schedule's arithmetic.
 
+Every check compares exact integer ticks.  It reads its times once and
+converts them at one scale, the least that holds them all (the LCM of
+their denominators, as :func:`~repro.core.schedule.tick_columns`
+computes it), never the engine's clock scale: a tampered record may
+carry a denominator the run never saw.  An error renders the tick it
+found as the exact time ``Fraction(tick, scale)``.
+
 Three audit depths are available:
 
 * :func:`audit_ports` — pure port-log audit (both policies, any latency
@@ -29,11 +36,16 @@ Three audit depths are available:
 
 from __future__ import annotations
 
-from repro.core.schedule import Schedule, SendEvent
+import math
+from fractions import Fraction
+from itertools import chain, islice
+from operator import add
+from typing import Iterable, Sequence
+
+from repro.core.schedule import Schedule
 from repro.errors import ModelError, ScheduleError, SimultaneousIOError
 from repro.postal.machine import ContentionPolicy, PostalSystem
-from repro.postal.message import Message
-from repro.types import ONE, ProcId, Time, ZERO, time_repr
+from repro.types import ProcId, Time, time_repr
 
 __all__ = [
     "schedule_from_trace",
@@ -44,10 +56,28 @@ __all__ = [
 ]
 
 
+def _scale(times: Iterable[Time]) -> int:
+    """The least tick scale at which every time in *times* is whole."""
+    return math.lcm(*{t.denominator for t in times})
+
+
+def _ticks(times: Sequence[Time], scale: int) -> list[int]:
+    """*times* in whole ticks at *scale*."""
+    return [t.numerator * (scale // t.denominator) for t in times]
+
+
+def _at(tick: int, scale: int) -> str:
+    """*tick* rendered as the exact time it stands for."""
+    return time_repr(Fraction(tick, scale))
+
+
 def schedule_from_trace(
     system: PostalSystem, *, m: int, root: int = 0, validate: bool = True
 ) -> Schedule:
     """Reconstruct the realized schedule from a system's trace.
+
+    The traced sends become the schedule's integer columns
+    (:meth:`Schedule.from_columns`); no event is built.
 
     Only meaningful under the strict policy (under the queued policy
     arrivals may exceed ``sent_at + lambda`` and the reconstruction would
@@ -62,53 +92,72 @@ def schedule_from_trace(
             "schedule reconstruction requires uniform latency; pair-"
             "dependent runs are audited via audit_ports + delivery records"
         )
-    events = [
-        SendEvent(rec.time, rec.data["src"], rec.data["msg"], rec.data["dst"])
-        for rec in system.tracer.records("send")
-    ]
-    return Schedule(system.n, system.lam, events, m=m, root=root, validate=validate)
+    sends = system.tracer.records("send")
+    times = [rec.time for rec in sends]
+    data = [rec.data for rec in sends]
+    scale = _scale(chain((system.lam,), times))
+    return Schedule.from_columns(
+        system.n,
+        system.lam,
+        scale,
+        _ticks(times, scale),
+        [d["src"] for d in data],
+        [d["msg"] for d in data],
+        [d["dst"] for d in data],
+        m=m,
+        root=root,
+        validate=validate,
+    )
 
 
 def audit_ports(system: PostalSystem) -> None:
     """Check every port's busy log: intervals pairwise disjoint (half-open)
     and each exactly one unit long.
 
-    Both checks run in a single pass over the port's *sorted* log: since
-    every interval is one unit long, two intervals overlap iff their
-    sorted starts are less than one unit apart, so the disjointness
-    audit is an adjacent-gap sweep rather than a pairwise comparison —
-    ``O(I log I)`` per port.
+    Both checks run in a single pass over every port's *sorted* log,
+    the ports in order (send ports, then receive ports): since every
+    interval is one unit long, two intervals overlap iff their sorted
+    starts are less than one unit apart, so the disjointness audit is an
+    adjacent-gap sweep rather than a pairwise comparison —
+    ``O(I log I)`` over all ``I`` intervals.
 
     Raises:
         SimultaneousIOError: overlapping busy intervals on one port.
         ModelError: an interval of the wrong length.
     """
-    for kind, ports in (
-        ("send", [system.send_port(p) for p in range(system.n)]),
-        ("recv", [system.recv_port(p) for p in range(system.n)]),
-    ):
-        for port in ports:
-            prev: tuple[Time, Time] | None = None
-            for s, e in sorted(port.busy_intervals):
-                if e - s != 1:
-                    raise ModelError(
-                        f"p{port.proc} {kind} busy interval "
-                        f"[{time_repr(s)},{time_repr(e)}) is not one unit"
-                    )
-                if prev is not None and s < prev[1]:
-                    raise SimultaneousIOError(
-                        f"p{port.proc} {kind} port driven twice at once: "
-                        f"[{time_repr(prev[0])},{time_repr(prev[1])}) and "
-                        f"[{time_repr(s)},{time_repr(e)})"
-                    )
-                prev = (s, e)
+    n = system.n
+    ports = [system.send_port(p) for p in range(n)]
+    ports += [system.recv_port(p) for p in range(n)]
+    logs = [port.busy_intervals for port in ports]
+    times = [t for log in logs for interval in log for t in interval]
+    scale = _scale(times)
+    ticks = _ticks(times, scale)
+    # every port's sorted log, the ports in the order they are audited
+    rows = sorted(
+        zip(
+            [k for k, log in enumerate(logs) for _ in log],
+            ticks[0::2],
+            ticks[1::2],
+        )
+    )
 
+    def port(k: int) -> str:
+        return f"p{ports[k].proc} {'send' if k < n else 'recv'}"
 
-def _deliveries_by_receiver(system: PostalSystem) -> dict[ProcId, list[Message]]:
-    by_dst: dict[ProcId, list[Message]] = {}
-    for rec in system.tracer.records("deliver"):
-        by_dst.setdefault(rec.data.dst, []).append(rec.data)
-    return by_dst
+    prev_k = prev_s = prev_e = None
+    for k, s, e in rows:
+        if e - s != scale:
+            raise ModelError(
+                f"{port(k)} busy interval "
+                f"[{_at(s, scale)},{_at(e, scale)}) is not one unit"
+            )
+        if k == prev_k and s < prev_e:
+            raise SimultaneousIOError(
+                f"{port(k)} port driven twice at once: "
+                f"[{_at(prev_s, scale)},{_at(prev_e, scale)}) and "
+                f"[{_at(s, scale)},{_at(e, scale)})"
+            )
+        prev_k, prev_s, prev_e = k, s, e
 
 
 def audit_deliveries(system: PostalSystem) -> None:
@@ -135,24 +184,36 @@ def audit_deliveries(system: PostalSystem) -> None:
             queued arrivals are not work-conserving.
     """
     strict = system.policy is ContentionPolicy.STRICT
-    for dst, msgs in _deliveries_by_receiver(system).items():
-        dues: list[Time] = []
-        for msg in msgs:
-            due = msg.sent_at + system.latency(msg.src, msg.dst)
-            if msg.arrived_at < due:
-                raise ScheduleError(
-                    f"{msg}: arrives before sent_at + lambda = "
-                    f"{time_repr(due)}"
-                )
-            if strict and msg.arrived_at != due:
-                raise ScheduleError(
-                    f"{msg}: arrival differs from sent_at + lambda = "
-                    f"{time_repr(due)}"
-                )
-            dues.append(due)
+    msgs = [rec.data for rec in system.tracer.records("deliver")]
+    by_dst: dict[ProcId, list[int]] = {}
+    for i, msg in enumerate(msgs):
+        by_dst.setdefault(msg.dst, []).append(i)
+    sent_at = [msg.sent_at for msg in msgs]
+    arrived_at = [msg.arrived_at for msg in msgs]
+    latency = [system.latency(msg.src, msg.dst) for msg in msgs]
+    logs = [system.recv_port(dst).busy_intervals for dst in by_dst]
+    logged_at = [t for log in logs for interval in log for t in interval]
+    scale = _scale(chain(sent_at, arrived_at, latency, logged_at))
+    arrived = _ticks(arrived_at, scale)
+    due = list(map(add, _ticks(sent_at, scale), _ticks(latency, scale)))
+    logged = _ticks(logged_at, scale)
+    intervals = zip(logged[0::2], logged[1::2])
 
-        windows = sorted((m.arrived_at - ONE, m.arrived_at) for m in msgs)
-        busy = sorted(system.recv_port(dst).busy_intervals)
+    for (dst, rows), log in zip(by_dst.items(), logs):
+        for i in rows:
+            if arrived[i] < due[i]:
+                raise ScheduleError(
+                    f"{msgs[i]}: arrives before sent_at + lambda = "
+                    f"{_at(due[i], scale)}"
+                )
+            if strict and arrived[i] != due[i]:
+                raise ScheduleError(
+                    f"{msgs[i]}: arrival differs from sent_at + lambda = "
+                    f"{_at(due[i], scale)}"
+                )
+
+        windows = sorted([(arrived[i] - scale, arrived[i]) for i in rows])
+        busy = sorted(islice(intervals, len(log)))
         if windows != busy:
             raise ModelError(
                 f"p{dst}: delivery records ({len(windows)} receive "
@@ -162,21 +223,21 @@ def audit_deliveries(system: PostalSystem) -> None:
 
         if not strict:
             # work-conserving FIFO replay over the sorted due times
-            clock: Time | None = None
-            finishes: list[Time] = []
-            for due in sorted(dues):
-                start = due - ONE
+            clock: int | None = None
+            finishes: list[int] = []
+            for d in sorted([due[i] for i in rows]):
+                start = d - scale
                 if clock is not None and clock > start:
                     start = clock
-                clock = start + ONE
+                clock = start + scale
                 finishes.append(clock)
-            realized = sorted(m.arrived_at for m in msgs)
+            realized = [end for _, end in windows]
             if finishes != realized:
                 raise ModelError(
                     f"p{dst}: queued arrival times are not the "
                     f"work-conserving FIFO completion of their due times "
-                    f"(expected {[time_repr(t) for t in finishes]}, "
-                    f"got {[time_repr(t) for t in realized]})"
+                    f"(expected {[_at(t, scale) for t in finishes]}, "
+                    f"got {[_at(t, scale) for t in realized]})"
                 )
 
 
@@ -194,11 +255,13 @@ def audit_broadcast_coverage(
     Raises:
         ScheduleError: missing, duplicate, or premature transmissions.
     """
-    held_from: dict[tuple[ProcId, int], Time] = {
-        (root, k): ZERO for k in range(m)
-    }
-    for rec in system.tracer.records("deliver"):
-        msg = rec.data
+    msgs = [rec.data for rec in system.tracer.records("deliver")]
+    sends = system.tracer.records("send")
+    arrived_at = [msg.arrived_at for msg in msgs]
+    sent_at = [rec.time for rec in sends]
+    scale = _scale(chain(arrived_at, sent_at))
+    held_from: dict[tuple[ProcId, int], int] = {(root, k): 0 for k in range(m)}
+    for msg, arrived in zip(msgs, _ticks(arrived_at, scale)):
         key = (msg.dst, msg.msg)
         if not 0 <= msg.msg < m:
             raise ScheduleError(f"{msg}: message index outside 0..{m - 1}")
@@ -208,7 +271,7 @@ def audit_broadcast_coverage(
             raise ScheduleError(
                 f"p{msg.dst} receives M{msg.msg + 1} more than once"
             )
-        held_from[key] = msg.arrived_at
+        held_from[key] = arrived
     missing = [
         (p, k)
         for p in range(system.n)
@@ -221,17 +284,17 @@ def audit_broadcast_coverage(
             f"incomplete broadcast: p{p} never receives M{k + 1} "
             f"({len(missing)} deliveries missing)"
         )
-    for rec in system.tracer.records("send"):
+    for rec, start in zip(sends, _ticks(sent_at, scale)):
         src, msg_id = rec.data["src"], rec.data["msg"]
         held = held_from.get((src, msg_id))
         if held is None:
             raise ScheduleError(
                 f"p{src} sends M{msg_id + 1} without ever obtaining it"
             )
-        if rec.time < held:
+        if start < held:
             raise ScheduleError(
-                f"p{src} sends M{msg_id + 1} at t={time_repr(rec.time)} but "
-                f"only holds it from t={time_repr(held)}"
+                f"p{src} sends M{msg_id + 1} at t={_at(start, scale)} but "
+                f"only holds it from t={_at(held, scale)}"
             )
 
 

@@ -55,9 +55,13 @@ def _fake_results(scale=None):
     ]
 
 
+#: Exact-call stage times at the gate case, as ``_exact_stages`` records them.
+_FAKE_STAGES = {"family": "BCAST", "n": 10_000, "audit_s": 0.4, "metrics_s": 0.2}
+
+
 def _fake_cases(scale=None):
     """The ``cases`` section of :func:`_fake_results`."""
-    return bench._cases_section(_fake_results(scale))
+    return bench._cases_section(_fake_results(scale), _FAKE_STAGES)
 
 
 def test_to_json_records_replay_and_effective_jobs():
@@ -175,6 +179,31 @@ def test_run_case_measures_all_three_backends():
     assert res.sends == 63
     assert res.exact_s > 0 and res.turbo_s > 0 and res.replay_s > 0
     assert res.replay_speedup == res.exact_s / res.replay_s
+
+
+def test_exact_stages_time_the_audit_and_the_fold():
+    stages = bench._exact_stages(BenchCase("BCAST", 64, 1, _LAM))
+    assert stages.keys() == {"family", "n", "audit_s", "metrics_s"}
+    assert (stages["family"], stages["n"]) == ("BCAST", 64)
+    assert stages["audit_s"] > 0 and stages["metrics_s"] > 0
+
+
+def test_cases_section_reports_the_exact_stages_outside_its_gate():
+    section = _fake_cases()
+    assert section["exact_stages"] == _FAKE_STAGES
+    assert "exact_stages" not in section["gate"]
+    lines = bench._report_cases(section)
+    assert (
+        "exact call stages at BCAST n=10,000: audit 0.4000s, metrics 0.2000s"
+        in lines
+    )
+    # the baseline diff reads the rows alone: stage times far over a
+    # baseline's flag nothing, and a baseline without them diffs as before
+    slow = dict(section, exact_stages=dict(_FAKE_STAGES, audit_s=40.0))
+    baseline = _baseline()
+    assert compare_to_baseline({"cases": slow}, baseline)[0] == []
+    del baseline["cases"]["exact_stages"]
+    assert compare_to_baseline({"cases": slow}, baseline)[0] == []
 
 
 def test_bench_replay_section_shape():
